@@ -4,7 +4,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test smoke bench perf-trajectory profile crashtest lint lint-baseline typecheck
+.PHONY: test smoke perfbench-test bench perf-trajectory profile crashtest lint lint-baseline typecheck
 
 # Tier-1 verification: the full suite, exactly as CI runs it.
 test:
@@ -15,6 +15,11 @@ test:
 # shipping.
 smoke:
 	$(PYTEST) -x -q -m "not slow"
+
+# The repository benchmark's own smoke tests (perfbench/tests), run
+# at tiny sizes.
+perfbench-test:
+	$(PYTEST) perfbench/tests -q
 
 # Engine micro-benchmarks (pytest-benchmark timings).
 bench:

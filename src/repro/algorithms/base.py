@@ -95,6 +95,12 @@ class GreedyMatchingPolicy(RoutingPolicy):
     first.  Because the template computes a maximum matching at every
     node, every subclass automatically satisfies Definition 6 (greedy)
     and the Section 5 max-advance requirement, and declares both.
+
+    A lone packet with a good direction takes its first one without the
+    matching (unless ``deflection="random"``), as the matching would
+    give it.  :meth:`priority_key` is still called once for every
+    packet at every node visit, lone packets included, so subclasses
+    may keep state in it.
     """
 
     name = "greedy-matching"
@@ -146,6 +152,15 @@ class GreedyMatchingPolicy(RoutingPolicy):
         return packets
 
     def assign(self, view: NodeView) -> Assignment:
+        if len(view.packets) == 1 and self.deflection != "random":
+            # Kuhn's first augmenting attempt gives a lone packet its
+            # first good direction.  "random" deflection takes the full
+            # path: it shuffles the RNG even with nothing to deflect.
+            (packet,) = view.packets
+            good = view.good_directions(packet)
+            if good:
+                self.priority_key(view, packet)  # may hold state
+                return {packet.id: good[0]}
         ordered = self._ordered_packets(view)
         adjacency = {
             packet.id: list(view.good_directions(packet))

@@ -47,8 +47,10 @@ class NodeView:
         self.node = node
         self.step = step
         #: Packets present, in ascending id order (deterministic).
-        self.packets: Tuple[Packet, ...] = tuple(
-            sorted(packets, key=lambda p: p.id)
+        self.packets: Tuple[Packet, ...] = (
+            tuple(packets)
+            if len(packets) == 1
+            else tuple(sorted(packets, key=lambda p: p.id))
         )
         #: Directions in which an arc leaves this node (shared with the
         #: mesh's per-node arc table; treat as immutable).

@@ -51,7 +51,7 @@ def kuhn_match(
     ``order`` lists row indices highest-priority first; ``good[row]``
     is the row's good-direction bitmask (a subset of ``out_mask``).
     Mirrors
-    :func:`repro.algorithms.matching.priority_maximum_matching`:
+    :func:`repro.core.matching.priority_maximum_matching`:
     earlier rows keep their matches, later rows may only augment.
 
     The augmentation explores directions in ascending bit order, so a
@@ -105,7 +105,7 @@ def first_fit_match(
 ) -> Dict[int, int]:
     """First-fit maximal matching on bitmask adjacency.
 
-    Mirrors :func:`repro.algorithms.matching.greedy_maximal_matching`:
+    Mirrors :func:`repro.core.matching.greedy_maximal_matching`:
     each row in ``order`` takes its first (canonical-order) good
     direction not already taken.
     """

@@ -433,19 +433,25 @@ def read_manifests(
     skipped and one description per casualty is appended to ``errors``,
     so checkpoint restores survive a dirty shutdown while still
     reporting what was lost.
+
+    The file is read as bytes and decoded per line, as
+    :meth:`repro.campaign.store.CampaignStore.replay` does: a tail torn
+    inside a multi-byte UTF-8 character then fails only its own line
+    (``UnicodeDecodeError`` is a ``ValueError``) instead of the read.
     """
     manifests: List[RunManifest] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if errors is None:
-                manifests.append(RunManifest.from_dict(json.loads(line)))
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            raw = raw.strip()
+            if not raw:
                 continue
             try:
-                manifests.append(RunManifest.from_dict(json.loads(line)))
+                manifests.append(
+                    RunManifest.from_dict(json.loads(raw.decode("utf-8")))
+                )
             except (ValueError, TypeError, KeyError) as problem:
+                if errors is None:
+                    raise
                 errors.append(f"{path}:{number}: {problem}")
     return manifests
 

@@ -16,6 +16,7 @@ from repro.algorithms import (
     DimensionOrderPolicy,
     PlainGreedyPolicy,
     RandomizedGreedyPolicy,
+    RandomRankPolicy,
     RestrictedPriorityPolicy,
 )
 from repro.core.buffered_engine import BufferedEngine
@@ -34,6 +35,7 @@ DYNAMIC_POLICIES = (
     RestrictedPriorityPolicy,
     PlainGreedyPolicy,
     RandomizedGreedyPolicy,
+    RandomRankPolicy,
 )
 
 _SETTINGS = settings(

@@ -29,8 +29,9 @@ from repro.core.buffered_engine import BufferedEngine
 from repro.core.engine import HotPotatoEngine
 from repro.core.soa import _compat
 from repro.core.validation import validators_for
-from repro.dynamic import BufferedDynamicEngine, DynamicEngine
+from repro.dynamic import BernoulliTraffic, BufferedDynamicEngine, DynamicEngine
 from repro.faults import FaultSchedule
+from repro.mesh.topology import Mesh
 
 from .test_engine_differential import (
     _SETTINGS,
@@ -190,6 +191,30 @@ class TestDynamicSoaDifferential:
             backend="soa",
         )
         assert _stats_tuple(obj.run(steps)) == _stats_tuple(soa.run(steps))
+        assert obj.telemetry == soa.telemetry
+        assert obj._next_id == soa._next_id
+        assert [p.id for p in obj.in_flight] == [
+            p.id for p in soa.in_flight
+        ]
+
+    def test_random_rank_long_run_soa_equals_object(self):
+        # RandomRankPolicy draws a late-injected packet's rank inside
+        # priority_key, on first sight.  The object backend must call
+        # priority_key at every node visit, lone packets included, or
+        # its RNG stream drifts from soa's.  The hypothesis sweep above
+        # (side <= 5, <= 60 steps) is too small to expose that drift.
+        mesh = Mesh(2, 8)
+        obj = DynamicEngine(
+            mesh, RandomRankPolicy(), BernoulliTraffic(0.15), seed=3
+        )
+        soa = DynamicEngine(
+            mesh,
+            RandomRankPolicy(),
+            BernoulliTraffic(0.15),
+            seed=3,
+            backend="soa",
+        )
+        assert _stats_tuple(obj.run(300)) == _stats_tuple(soa.run(300))
         assert obj.telemetry == soa.telemetry
         assert obj._next_id == soa._next_id
         assert [p.id for p in obj.in_flight] == [

@@ -272,6 +272,22 @@ class TestTornLineRecovery:
         assert len(errors) == 2
         assert read[0] == read[1] == manifest
 
+    def test_recovery_mode_survives_a_tail_torn_mid_utf8(
+        self, mesh8, tmp_path
+    ):
+        path, manifest = self.write_file(mesh8, tmp_path, torn=False)
+        engine, result = run_batch_engine(mesh8)
+        accented = manifest_for_engine(engine, result, workload="café")
+        line = json.dumps(accented.to_dict(), ensure_ascii=False).encode()
+        cut = line.index("é".encode()) + 1  # keep only the first byte of é
+        with open(path, "ab") as handle:
+            handle.write(line[:cut])
+        errors = []
+        read = read_manifests(path, errors=errors)
+        assert read == [manifest, manifest]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{path}:3:")
+
     def test_clean_file_reports_no_errors(self, mesh8, tmp_path):
         path, _ = self.write_file(mesh8, tmp_path, torn=False)
         errors = []
