@@ -9,8 +9,8 @@ Commands:
 * ``campaign`` — run / resume / inspect resumable experiment campaigns
   backed by the event-sourced store (see :mod:`repro.campaign`);
 * ``dynamic``  — continuous-traffic load sweep (latency/backlog table);
-* ``profile``  — run one scenario on the profiled kernel loop and print
-  the per-phase wall-time table;
+* ``profile``  — run one scenario with the phase profiler attached to
+  the kernel's run loop and print the per-phase wall-time table;
 * ``livelock`` — run the 8-packet livelock demonstration;
 * ``policies`` — list the registered routing policies;
 * ``lint``     — run the determinism linter over the source tree.
@@ -481,8 +481,9 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Run one scenario on the profiled kernel loop; print the phase
-    table, the lean-path counters, and (optionally) a manifest."""
+    """Run one scenario with the kernel's run loop timing its phases;
+    print the phase table, the lean-path counters, and (optionally) a
+    manifest."""
     from repro.core.validation import validators_for
     from repro.obs import PhaseProfiler
     from repro.obs.manifest import JsonlRunLogger
@@ -536,8 +537,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 backend=args.backend,
             )
         else:
-            # Capacity-only validators keep the run fast-path eligible —
-            # the profiled loop times the lean pipeline.
+            # Capacity-only validators keep the run fast-path eligible:
+            # the profiler times StepKernel.run_lean, the loop that
+            # runs, and an instrumented run would be refused.
             engine = HotPotatoEngine(
                 problem,
                 policy,

@@ -127,13 +127,6 @@ class BufferedEngine:
         if watchdog is None and faults is not None:
             watchdog = RunWatchdog()
         self.watchdog = watchdog
-        if profiler is not None and (
-            faults is not None or watchdog is not None
-        ):
-            raise ValueError(
-                "profiling is incompatible with faults/watchdogs; "
-                "drop the profiler or the fault schedule"
-            )
         if checkpoint_every is not None:
             if checkpoint_every < 1:
                 raise ValueError(
@@ -285,10 +278,8 @@ class BufferedEngine:
             SoaKernel(self._kernel, adapter).run(
                 until, profiler=self.profiler
             )
-        elif self.profiler is not None:
-            self._kernel.run_profiled(until, self.profiler)
         else:
-            self._kernel.run_lean(until)
+            self._kernel.run_lean(until, self.profiler)
 
     def _maybe_checkpoint(self) -> None:
         if (

@@ -102,16 +102,18 @@ class HotPotatoEngine:
             ``ValueError`` when the run is not fast-path eligible
             (useful in tests and benchmarks).
         profiler: optional :class:`~repro.obs.profiler.PhaseProfiler`
-            (any :class:`~repro.core.kernel.PhaseSink`); when set,
-            :meth:`run` uses the kernel's profiled loop and accumulates
-            per-phase wall time into it.  Profiling requires fast-path
-            eligibility — the phases being timed are the lean loop's.
+            (any :class:`~repro.core.kernel.PhaseSink`); when set, the
+            kernel's run loop times its own phases and accumulates
+            per-phase wall time into it — faulted and watchdog-guarded
+            runs included, with fault-phase time booked under
+            ``inject``.  Profiling requires fast-path eligibility: the
+            phases being timed are the lean loop's.
         faults: optional :class:`~repro.faults.FaultSchedule` applied
             deterministically during the run (down links, failed nodes,
             packet drops); the engine routes around failures through
             the masked topology view.  ``None`` (and an empty
             schedule) leaves runs bit-identical to a fault-free
-            engine.  Incompatible with ``profiler``.
+            engine.
         watchdog: optional :class:`~repro.faults.RunWatchdog`; checked
             every step, its verdict ends the run with a structured
             :class:`~repro.faults.RunAborted` on the result.  A
@@ -219,13 +221,6 @@ class HotPotatoEngine:
         if watchdog is None and faults is not None:
             watchdog = RunWatchdog()
         self.watchdog = watchdog
-        if profiler is not None and (
-            faults is not None or watchdog is not None
-        ):
-            raise ValueError(
-                "profiling is incompatible with faults/watchdogs; "
-                "drop the profiler or the fault schedule"
-            )
         if checkpoint_every is not None:
             if checkpoint_every < 1:
                 raise ValueError(
@@ -453,10 +448,8 @@ class HotPotatoEngine:
             SoaKernel(self._kernel, adapter).run(
                 until, profiler=self.profiler
             )
-        elif self.profiler is not None:
-            self._kernel.run_profiled(until, self.profiler)
         else:
-            self._kernel.run_lean(until)
+            self._kernel.run_lean(until, self.profiler)
 
     def _maybe_checkpoint(self) -> None:
         """Hand a snapshot to the sink, but only when the run will

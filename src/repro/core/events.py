@@ -37,7 +37,7 @@ class RunObserver:
 
     #: Whether this observer consumes per-step summaries.  Unlike
     #: ``needs_steps``, this hook is *lean-loop safe*: every kernel
-    #: path (lean, guarded, profiled, soa, instrumented) already emits
+    #: path (lean, soa, instrumented) already emits
     #: one :class:`~repro.core.kernel.StepSummary` per step, so
     #: summary observers never disqualify the fast path and work on
     #: every backend.  The series recorders and metric recorders in

@@ -11,17 +11,21 @@ implementation of that pipeline; the four public engines
 :class:`~repro.dynamic.buffered.BufferedDynamicEngine`) are thin
 configurations of it.
 
-The kernel has two code paths with identical observable semantics:
+The kernel has one run loop and one reference step, with identical
+observable semantics:
 
-* :meth:`StepKernel.run_lean` — the zero-observer main loop (formerly
-  ``HotPotatoEngine._run_fast``): no :class:`StepRecord`/
-  :class:`PacketStepInfo` construction, packet distances tracked
-  incrementally, neighbor lookups served from the mesh's precomputed
-  per-node arc tables.
+* :meth:`StepKernel.run_lean` — the loop every lean-eligible run
+  executes: no :class:`StepRecord`/:class:`PacketStepInfo`
+  construction, packet distances tracked incrementally, neighbor
+  lookups served from the mesh's precomputed per-node arc tables.  The
+  same loop handles the watchdog, the fault phase and graceful
+  degradation (each gated so pristine runs skip it) and, given a
+  :class:`PhaseSink`, times its own phases.
 * :meth:`StepKernel.step_instrumented` — one step that builds the full
   :class:`StepRecord`, runs validators per node, and returns a
   :class:`StepSummary`, for anything that layers on top (trace capture,
-  potential accounting, protocol validation).
+  potential accounting, protocol validation).  It is the reference the
+  differential suites compare the loop against.
 
 Everything that used to be a baked-in difference between engines is a
 constructor knob:
@@ -198,8 +202,11 @@ def lean_equivalent(
 
 
 class PhaseSink(Protocol):
-    """Where :meth:`StepKernel.run_profiled` reads its clock and writes
+    """Where :meth:`StepKernel.run_lean` reads its clock and writes
     per-step phase durations.
+
+    On faulted runs the fault phase (mask advance and packet drops) is
+    timed together with admission and booked under ``inject``.
 
     The kernel deliberately owns no clock: wall time in engine code is
     a determinism hazard (lint rule DET106), so the concrete sink —
@@ -248,17 +255,16 @@ class StepKernel:
         on_deliver: called with each packet the moment it is absorbed
             (the dynamic engines record latency statistics here).
         telemetry: optional :class:`~repro.obs.telemetry.RunTelemetry`
-            whose integer counters every loop updates inline — the
-            lean loops from local variables, the instrumented step from
-            its summary — with bit-identical values on all paths.
+            whose integer counters every path updates — the lean loops
+            through :meth:`_note_step`, the instrumented step from its
+            summary — with bit-identical values on all paths.
         faults: optional :class:`~repro.faults.state.ActiveFaults`.
             When set, every step starts with the fault phase (mask
             advance + packet drops) and routing consults the masked
-            mesh view; ``run_lean`` transparently switches to its
-            guarded twin.  ``None`` leaves every loop untouched —
-            the no-fault paths stay bit-identical to before.
+            mesh view.  ``None`` skips all of it, and the masked view
+            is never built.
         watchdog: optional :class:`~repro.faults.watchdog.RunWatchdog`
-            checked at the top of every step by the run loops; a
+            checked at the top of every step by the run loop; a
             verdict lands in :attr:`abort` and the loop exits.
     """
 
@@ -376,10 +382,10 @@ class StepKernel:
     def _apply_faults(self) -> int:
         """The fault phase: advance the mask, remove this step's victims.
 
-        Runs at the very top of a step, before injection, on both the
-        guarded lean loop and the instrumented step.  Victim selection
-        (packets at failed nodes, plus scheduled drop events, lowest
-        ids first) is delegated to
+        Runs at the very top of a step, before injection, in both the
+        run loop and the instrumented step; a no-op without faults.
+        Victim selection (packets at failed nodes, plus scheduled drop
+        events, lowest ids first) is delegated to
         :meth:`~repro.faults.state.ActiveFaults.select_drops`; this
         method applies the removal to the kernel's state.  Returns the
         number of packets dropped.
@@ -404,38 +410,63 @@ class StepKernel:
         return len(victims)
 
     # ------------------------------------------------------------------
-    # The lean loop (formerly HotPotatoEngine._run_fast)
+    # The run loop
     # ------------------------------------------------------------------
 
-    def run_lean(self, until: int) -> None:
+    def run_lean(
+        self, until: int, profiler: Optional[PhaseSink] = None
+    ) -> None:
         """Run steps until ``time == until`` with zero instrumentation.
 
         Semantically identical to repeated :meth:`step_instrumented`
         calls (same packet outcomes, same :class:`StepSummary` values,
-        same policy RNG stream) but with the per-step allocation churn
-        stripped out: no :class:`PacketStepInfo`/:class:`StepRecord`
-        objects, packet distances tracked incrementally where the mesh
-        guarantees the ±1-per-hop invariant (``Mesh.unit_deflections``;
-        a good hop is always exactly -1, but e.g. an odd-side torus
-        deflection can leave the wrapped distance unchanged, so those
-        meshes recompute after deflections), and neighbor lookups
-        served from the mesh's precomputed per-node arc tables.
-        Delivery is decided by destination comparison — never by the
-        distance counter.
+        same telemetry, same policy RNG stream) but with the per-step
+        allocation churn stripped out: no :class:`PacketStepInfo`/
+        :class:`StepRecord` objects, packet distances tracked
+        incrementally where the mesh guarantees the ±1-per-hop
+        invariant (``Mesh.unit_deflections``; a good hop is always
+        exactly -1, but e.g. an odd-side torus deflection can leave the
+        wrapped distance unchanged, so those meshes recompute after
+        deflections), and neighbor lookups served from the mesh's
+        precomputed per-node arc tables.  Delivery is decided by
+        destination comparison — never by the distance counter.
 
         Batch kernels (no injection) stop early once ``in_flight``
         drains; injecting kernels run the full horizon.
 
-        With faults or a watchdog configured the call transparently
-        dispatches to :meth:`_run_lean_guarded`; this loop itself
-        never checks for them, so pristine runs pay nothing.
+        *Watchdog.*  When one is configured, every step starts with its
+        check; a verdict lands in :attr:`abort` and the loop exits.
+
+        *Faults and degradation.*  When :attr:`faults` is set, the fault
+        phase (:meth:`_apply_faults`) runs before injection and routing
+        consults the masked mesh view, so policies never see a down
+        arc.  Degradation is gated once per step on
+        ``faults.anything_down``: a hot-potato node left with fewer live
+        out arcs than packets lets the excess packets (highest ids) wait
+        in place, and a store-and-forward forward onto an arc that
+        exists but is down simply waits.  With nothing down every
+        branch reduces to the pristine loop, strict pigeonhole error
+        included; with ``faults`` unset the masked view is never built.
+
+        *Phase timing.*  With a ``profiler`` the loop reads its clock
+        around each phase and reports one ``record_step`` per step:
+        fault application and admission book under ``inject``, grouping
+        and the per-node policy calls under ``rank``, checking and
+        staging the policy's output under ``arc_assign``.  Without one
+        the per-step timestamps are a constant 0 and the per-node ones
+        are skipped.  Move and deliver run as two passes over
+        ``in_flight`` so each is separately timeable; per-packet move
+        effects are independent and delivery scans in ``in_flight``
+        order either way, so the split is unobservable (the
+        differential suites pin unprofiled == profiled ==
+        instrumented).
         """
-        if self.faults is not None or self.watchdog is not None:
-            self._run_lean_guarded(until)
-            return
+        faults = self.faults
+        watchdog = self.watchdog
         mesh = self.mesh
+        mesh_v = faults.view if faults is not None else mesh
         dimension = mesh.dimension
-        node_arcs = mesh.node_arcs
+        node_arcs = mesh_v.node_arcs
         unit_deflections = mesh.unit_deflections
         distance = mesh.distance
         decide = self._decide()
@@ -443,24 +474,33 @@ class StepKernel:
         sorted_order = self.sorted_order
         set_entry = self.set_entry_direction
         record_paths = self.record_paths
-        emit = self.emit
         on_deliver = self.on_deliver
         stop_when_empty = self.injection is None
         dist = self._dist
-        tel = self.telemetry
+        clock = profiler.clock if profiler is not None else None
 
         while self.time < until:
             if stop_when_empty and not self.in_flight:
                 break
+            if watchdog is not None:
+                verdict = watchdog.check(self)
+                if verdict is not None:
+                    self.abort = verdict
+                    break
+            t0 = clock() if clock is not None else 0
+            dropped = self._apply_faults()
+            degrading = faults is not None and faults.anything_down
             generated, injected, backlog = self._admit()
+            t1 = clock() if clock is not None else 0
+
             step_index = self.time
             groups: Dict[Node, List[Packet]] = defaultdict(list)
             for packet in self.in_flight:
                 groups[packet.location].append(packet)
             routed = len(self.in_flight)
 
-            # Phase 1 — per-node decisions.  The visit order (insertion
-            # vs. sorted, see the class docs) must stay in lockstep with
+            # Per-node decisions.  The visit order (insertion vs.
+            # sorted, see the class docs) must stay in lockstep with
             # step_instrumented so both paths consume any policy RNG
             # identically.
             pending: Dict[PacketId, _PendingMove] = {}
@@ -474,11 +514,14 @@ class StepKernel:
                 if sorted_order
                 else groups.items()
             )
+            t2 = clock() if clock is not None else 0
+            rank_ns = t2 - t1  # grouping is decision prep
+            assign_ns = 0
             # No pre-assign capacity raise here: under hot-potato rules
-            # a load above the node's degree makes a consistent
+            # a load above the node's live degree makes a consistent
             # assignment impossible (pigeonhole), so the bad-assignment
             # fallback below raises the same ArcAssignmentError the
-            # instrumented loop would — after the policy ran, with the
+            # instrumented step would — after the policy ran, with the
             # same RNG consumption.
             for node, packets in node_items:
                 load = len(packets)
@@ -488,12 +531,45 @@ class StepKernel:
                 if load > dimension:
                     bad_nodes += 1
                     packets_in_bad += load
-                view = NodeView(mesh, node, step_index, packets)
-                assignment = decide(view)
-                by_direction = arcs.by_direction
+                if clock is not None:
+                    t_node = clock()
+                view = NodeView(mesh_v, node, step_index, packets)
                 good_map = view._good
+                movable = load
+                if degrading and not buffered and load > arcs.degree:
+                    # Graceful degradation: the excess packets wait in
+                    # place this step and the policy decides the rest.
+                    movable = arcs.degree
+                    for packet in view.packets[movable:]:
+                        total_distance += dist[packet.id]
+                        packet.advanced_last_step = False
+                        packet.restricted_last_step = (
+                            len(good_map[packet.id]) == 1
+                        )
+                    view = NodeView(
+                        mesh_v, node, step_index, list(view.packets[:movable])
+                    )
+                    if not movable:
+                        continue
+                assignment = decide(view)
+                if clock is not None:
+                    t_decided = clock()
+                    rank_ns += t_decided - t_node
+                by_direction = arcs.by_direction
                 seen = set()
                 if buffered:
+                    if degrading:
+                        # A forward onto an arc that exists but is down
+                        # waits, as if the policy had not forwarded it;
+                        # arcs that leave the mesh outright still fail
+                        # the strict check below.
+                        base_bd = mesh.node_arcs(node).by_direction
+                        assignment = {
+                            pid: d
+                            for pid, d in assignment.items()
+                            if by_direction.get(d) is not None
+                            or base_bd.get(d) is None
+                        }
                     for packet_id, direction in assignment.items():
                         next_node = by_direction.get(direction)
                         if (
@@ -532,7 +608,7 @@ class StepKernel:
                             direction is None
                             or direction in seen
                             or next_node is None
-                            or len(assignment) != load
+                            or len(assignment) != movable
                         ):
                             # Bad policy output: rebuild through the
                             # strict checker so the error matches the
@@ -554,574 +630,48 @@ class StepKernel:
                         if advanced:
                             advancing += 1
                         total_distance += dist[packet.id]
+                if clock is not None:
+                    assign_ns += clock() - t_decided
 
-            # Phase 2 — move, in in_flight order, so delivery order and
-            # the next step's grouping are identical to the
-            # instrumented path.
+            # Move pass, then delivery pass, both in in_flight order so
+            # delivery order and the next step's grouping match the
+            # instrumented step.  Packets absent from ``pending`` wait
+            # in place (buffered, or degraded).
             self.time += 1
             now = self.time
-            delivered_count = 0
-            remaining: List[Packet] = []
-            if buffered:
-                pending_get = pending.get
-                for packet in self.in_flight:
-                    entry = pending_get(packet.id)
-                    if entry is not None:
-                        next_node, direction, advanced, _ = entry
-                        packet.location = next_node
-                        packet.hops += 1
-                        if advanced:
-                            # A good hop reduces the distance by exactly
-                            # one (Definition 5), on every mesh kind.
-                            packet.advances += 1
-                            dist[packet.id] -= 1
-                        else:
-                            packet.deflections += 1
-                            if unit_deflections:
-                                dist[packet.id] += 1
-                            else:
-                                dist[packet.id] = distance(
-                                    next_node, packet.destination
-                                )
-                        if record_paths:
-                            packet.path.append(next_node)
-                    if packet.location == packet.destination:
-                        packet.delivered_at = now
-                        delivered_count += 1
-                        del dist[packet.id]
-                        if on_deliver is not None:
-                            on_deliver(packet)
-                    else:
-                        remaining.append(packet)
-            else:
-                for packet in self.in_flight:
-                    next_node, direction, advanced, restricted = pending[
-                        packet.id
-                    ]
-                    packet.restricted_last_step = restricted
-                    packet.advanced_last_step = advanced
-                    packet.location = next_node
-                    if set_entry:
-                        packet.entry_direction = direction
-                    packet.hops += 1
-                    if advanced:
-                        packet.advances += 1
-                        dist[packet.id] -= 1
-                    else:
-                        packet.deflections += 1
-                        if unit_deflections:
-                            dist[packet.id] += 1
-                        else:
-                            # E.g. odd-side torus: a bad hop out of a
-                            # maximal per-axis offset leaves the wrapped
-                            # distance unchanged, so recompute exactly.
-                            dist[packet.id] = distance(
-                                next_node, packet.destination
-                            )
-                    if record_paths:
-                        packet.path.append(next_node)
-                    if next_node == packet.destination:
-                        packet.delivered_at = now
-                        delivered_count += 1
-                        del dist[packet.id]
-                        if on_deliver is not None:
-                            on_deliver(packet)
-                    else:
-                        remaining.append(packet)
-            self.in_flight = remaining
-            self.delivered_total += delivered_count
-
-            if tel is not None:
-                # Inline note_summary: same arithmetic, no summary
-                # object on the hot path.
-                tel.steps += 1
-                tel.packet_steps += routed
-                tel.generated += generated
-                tel.injected += injected
-                tel.delivered += delivered_count
-                tel.advances += advancing
-                tel.deflections += len(pending) - advancing
-                if routed > tel.max_in_flight:
-                    tel.max_in_flight = routed
-                if max_load > tel.max_node_load:
-                    tel.max_node_load = max_load
-                if backlog > tel.max_backlog:
-                    tel.max_backlog = backlog
-
-            if emit is not None:
-                emit(
-                    StepSummary(
-                        step=step_index,
-                        generated=generated,
-                        injected=injected,
-                        routed=routed,
-                        moved=len(pending),
-                        advancing=advancing,
-                        delivered=delivered_count,
-                        delivered_total=self.delivered_total,
-                        total_distance=total_distance,
-                        max_node_load=max_load,
-                        bad_nodes=bad_nodes,
-                        packets_in_bad_nodes=packets_in_bad,
-                        backlog=backlog,
-                    )
-                )
-
-    # ------------------------------------------------------------------
-    # The guarded lean loop (faults + watchdog)
-    # ------------------------------------------------------------------
-
-    def _run_lean_guarded(self, until: int) -> None:
-        """The lean loop's fault/watchdog-aware twin.
-
-        Same per-step semantics as :meth:`run_lean` — same node visit
-        order, same policy RNG stream, same summary arithmetic — plus
-        three guarded phases:
-
-        * a watchdog check at the top of every step (a verdict lands
-          in :attr:`abort` and the loop exits);
-        * the fault phase (:meth:`_apply_faults`) before injection;
-        * graceful degradation — when masking leaves a node with fewer
-          live out arcs than packets, the excess packets (highest ids)
-          wait in place for the step instead of making a consistent
-          hot-potato assignment impossible.  Waiting only ever happens
-          while something is actually down; a pristine mask keeps the
-          strict pigeonhole error of the plain loop.
-
-        Routing consults the masked mesh view, so policies never see a
-        down arc.  With an empty schedule the masked tables *are* the
-        base tables and every branch below reduces to the plain lean
-        loop — the chaos-differential suite pins that bit-identity.
-        """
-        faults = self.faults
-        watchdog = self.watchdog
-        mesh = self.mesh
-        mesh_v = faults.view if faults is not None else mesh
-        dimension = mesh.dimension
-        node_arcs = mesh_v.node_arcs
-        unit_deflections = mesh.unit_deflections
-        distance = mesh.distance
-        decide = self._decide()
-        buffered = self.buffered
-        sorted_order = self.sorted_order
-        set_entry = self.set_entry_direction
-        record_paths = self.record_paths
-        emit = self.emit
-        on_deliver = self.on_deliver
-        stop_when_empty = self.injection is None
-        dist = self._dist
-        tel = self.telemetry
-
-        while self.time < until:
-            if stop_when_empty and not self.in_flight:
-                break
-            if watchdog is not None:
-                verdict = watchdog.check(self)
-                if verdict is not None:
-                    self.abort = verdict
-                    break
-            dropped_now = self._apply_faults()
-            generated, injected, backlog = self._admit()
-            step_index = self.time
-            groups: Dict[Node, List[Packet]] = defaultdict(list)
-            for packet in self.in_flight:
-                groups[packet.location].append(packet)
-            routed = len(self.in_flight)
-
-            pending: Dict[PacketId, _PendingMove] = {}
-            advancing = 0
-            total_distance = 0
-            max_load = 0
-            bad_nodes = 0
-            packets_in_bad = 0
-            node_items: Iterable[Tuple[Node, List[Packet]]] = (
-                [(node, groups[node]) for node in sorted(groups)]
-                if sorted_order
-                else groups.items()
-            )
-            for node, packets in node_items:
-                load = len(packets)
-                arcs = node_arcs(node)
-                if load > max_load:
-                    max_load = load
-                if load > dimension:
-                    bad_nodes += 1
-                    packets_in_bad += load
-                view = NodeView(mesh_v, node, step_index, packets)
-                good_map = view._good
-                for packet in view.packets:
-                    total_distance += dist[packet.id]
-                decide_view = view
-                if (
-                    not buffered
-                    and faults is not None
-                    and faults.anything_down
-                    and load > arcs.degree
-                ):
-                    # Graceful degradation (only reachable while the
-                    # mask actually hides something): the excess
-                    # packets wait in place this step.
-                    live = arcs.degree
-                    for packet in view.packets[live:]:
-                        packet.advanced_last_step = False
-                        packet.restricted_last_step = (
-                            len(good_map[packet.id]) == 1
-                        )
-                    decide_view = NodeView(
-                        mesh_v, node, step_index, list(view.packets[:live])
-                    )
-                    if not decide_view.packets:
-                        continue
-                assignment = decide(decide_view)
-                by_direction = arcs.by_direction
-                seen = set()
-                if buffered:
-                    if faults is not None and faults.anything_down:
-                        # Store-and-forward degradation: a forward onto
-                        # an arc that exists but is currently down just
-                        # waits (the packet stays buffered), exactly as
-                        # if the policy had not forwarded it.  Arcs that
-                        # leave the mesh outright still fall through to
-                        # the strict check below.
-                        base_bd = mesh.node_arcs(node).by_direction
-                        assignment = {
-                            pid: d
-                            for pid, d in assignment.items()
-                            if by_direction.get(d) is not None
-                            or base_bd.get(d) is None
-                        }
-                    for packet_id, direction in assignment.items():
-                        next_node = by_direction.get(direction)
-                        if (
-                            packet_id not in good_map
-                            or direction in seen
-                            or next_node is None
-                        ):
-                            self.build_infos(decide_view, assignment)
-                            raise ArcAssignmentError(
-                                f"step {step_index}: inconsistent buffered "
-                                f"assignment at {node} (kernel check)"
-                            )
-                        seen.add(direction)
-                        advanced = direction in good_map[packet_id]
-                        pending[packet_id] = (
-                            next_node,
-                            direction,
-                            advanced,
-                            False,
-                        )
-                        if advanced:
-                            advancing += 1
-                else:
-                    load_movable = len(decide_view.packets)
-                    for packet in decide_view.packets:
-                        direction = assignment.get(packet.id)
-                        next_node = (
-                            by_direction.get(direction)
-                            if direction is not None
-                            else None
-                        )
-                        if (
-                            direction is None
-                            or direction in seen
-                            or next_node is None
-                            or len(assignment) != load_movable
-                        ):
-                            self.build_infos(decide_view, assignment)
-                            raise ArcAssignmentError(
-                                f"step {step_index}: inconsistent assignment "
-                                f"at {node} (kernel fast-path check)"
-                            )
-                        seen.add(direction)
-                        good = good_map[packet.id]
-                        advanced = direction in good
-                        pending[packet.id] = (
-                            next_node,
-                            direction,
-                            advanced,
-                            len(good) == 1,
-                        )
-                        if advanced:
-                            advancing += 1
-
-            # Move phase: one interleaved pass in in_flight order, as in
-            # the lean loop, with waiting packets (absent from
-            # ``pending``) left in place.
-            self.time += 1
-            now = self.time
-            delivered_count = 0
-            remaining: List[Packet] = []
+            t3 = clock() if clock is not None else 0
             pending_get = pending.get
             for packet in self.in_flight:
                 entry = pending_get(packet.id)
-                if entry is not None:
-                    next_node, direction, advanced, restricted = entry
-                    if not buffered:
-                        packet.restricted_last_step = restricted
-                        packet.advanced_last_step = advanced
-                    packet.location = next_node
-                    if set_entry:
-                        packet.entry_direction = direction
-                    packet.hops += 1
-                    if advanced:
-                        packet.advances += 1
-                        dist[packet.id] -= 1
-                    else:
-                        packet.deflections += 1
-                        if unit_deflections:
-                            dist[packet.id] += 1
-                        else:
-                            dist[packet.id] = distance(
-                                next_node, packet.destination
-                            )
-                    if record_paths:
-                        packet.path.append(next_node)
-                if packet.location == packet.destination:
-                    packet.delivered_at = now
-                    delivered_count += 1
-                    del dist[packet.id]
-                    if on_deliver is not None:
-                        on_deliver(packet)
-                else:
-                    remaining.append(packet)
-            self.in_flight = remaining
-            self.delivered_total += delivered_count
-
-            if tel is not None:
-                tel.steps += 1
-                tel.packet_steps += routed
-                tel.generated += generated
-                tel.injected += injected
-                tel.delivered += delivered_count
-                tel.dropped += dropped_now
-                tel.advances += advancing
-                tel.deflections += len(pending) - advancing
-                if routed > tel.max_in_flight:
-                    tel.max_in_flight = routed
-                if max_load > tel.max_node_load:
-                    tel.max_node_load = max_load
-                if backlog > tel.max_backlog:
-                    tel.max_backlog = backlog
-
-            if emit is not None:
-                emit(
-                    StepSummary(
-                        step=step_index,
-                        generated=generated,
-                        injected=injected,
-                        routed=routed,
-                        moved=len(pending),
-                        advancing=advancing,
-                        delivered=delivered_count,
-                        delivered_total=self.delivered_total,
-                        total_distance=total_distance,
-                        max_node_load=max_load,
-                        bad_nodes=bad_nodes,
-                        packets_in_bad_nodes=packets_in_bad,
-                        backlog=backlog,
-                        dropped=dropped_now,
-                    )
-                )
-
-    # ------------------------------------------------------------------
-    # The profiled loop (lean semantics + phase timing)
-    # ------------------------------------------------------------------
-
-    def run_profiled(self, until: int, profiler: PhaseSink) -> None:
-        """:meth:`run_lean` with per-phase wall-clock accounting.
-
-        Routing semantics are byte-for-byte those of the lean loop —
-        same decisions, same RNG consumption, same emitted summaries
-        and telemetry — plus timestamp reads around each pipeline
-        phase, reported to ``profiler`` once per step.  The only
-        structural difference is that move and deliver run as two
-        passes over ``in_flight`` instead of one interleaved pass, so
-        each phase is separately timeable; per-packet move effects are
-        independent and delivery scans both ways in ``in_flight``
-        order, so the split is unobservable (the differential tests
-        pin profiled == lean == instrumented).
-
-        Kept next to :meth:`run_lean` deliberately: any change to one
-        loop must be mirrored in the other.
-
-        Profiling a faulted or watchdog-guarded run is not supported —
-        the engines route those through the guarded lean loop or the
-        instrumented step instead.
-        """
-        if self.faults is not None or self.watchdog is not None:
-            raise ValueError(
-                "run_profiled does not support faults or watchdogs; "
-                "drop the profiler or the fault schedule"
-            )
-        mesh = self.mesh
-        dimension = mesh.dimension
-        node_arcs = mesh.node_arcs
-        unit_deflections = mesh.unit_deflections
-        distance = mesh.distance
-        decide = self._decide()
-        buffered = self.buffered
-        sorted_order = self.sorted_order
-        set_entry = self.set_entry_direction
-        record_paths = self.record_paths
-        emit = self.emit
-        on_deliver = self.on_deliver
-        stop_when_empty = self.injection is None
-        dist = self._dist
-        tel = self.telemetry
-        clock = profiler.clock
-
-        while self.time < until:
-            if stop_when_empty and not self.in_flight:
-                break
-            t_start = clock()
-            generated, injected, backlog = self._admit()
-            t_injected = clock()
-
-            step_index = self.time
-            groups: Dict[Node, List[Packet]] = defaultdict(list)
-            for packet in self.in_flight:
-                groups[packet.location].append(packet)
-            routed = len(self.in_flight)
-            pending: Dict[PacketId, _PendingMove] = {}
-            advancing = 0
-            total_distance = 0
-            max_load = 0
-            bad_nodes = 0
-            packets_in_bad = 0
-            node_items: Iterable[Tuple[Node, List[Packet]]] = (
-                [(node, groups[node]) for node in sorted(groups)]
-                if sorted_order
-                else groups.items()
-            )
-            rank_ns = clock() - t_injected  # grouping is decision prep
-            assign_ns = 0
-            for node, packets in node_items:
-                load = len(packets)
-                arcs = node_arcs(node)
-                if load > max_load:
-                    max_load = load
-                if load > dimension:
-                    bad_nodes += 1
-                    packets_in_bad += load
-                t_node = clock()
-                view = NodeView(mesh, node, step_index, packets)
-                assignment = decide(view)
-                t_decided = clock()
-                rank_ns += t_decided - t_node
-                by_direction = arcs.by_direction
-                good_map = view._good
-                seen = set()
-                if buffered:
-                    for packet_id, direction in assignment.items():
-                        next_node = by_direction.get(direction)
-                        if (
-                            packet_id not in good_map
-                            or direction in seen
-                            or next_node is None
-                        ):
-                            self.build_infos(view, assignment)
-                            raise ArcAssignmentError(
-                                f"step {step_index}: inconsistent buffered "
-                                f"assignment at {node} (kernel check)"
-                            )
-                        seen.add(direction)
-                        advanced = direction in good_map[packet_id]
-                        pending[packet_id] = (
-                            next_node,
-                            direction,
-                            advanced,
-                            False,
-                        )
-                        if advanced:
-                            advancing += 1
-                    for packet in view.packets:
-                        total_distance += dist[packet.id]
-                else:
-                    for packet in view.packets:
-                        direction = assignment.get(packet.id)
-                        next_node = (
-                            by_direction.get(direction)
-                            if direction is not None
-                            else None
-                        )
-                        if (
-                            direction is None
-                            or direction in seen
-                            or next_node is None
-                            or len(assignment) != load
-                        ):
-                            self.build_infos(view, assignment)
-                            raise ArcAssignmentError(
-                                f"step {step_index}: inconsistent assignment "
-                                f"at {node} (kernel fast-path check)"
-                            )
-                        seen.add(direction)
-                        good = good_map[packet.id]
-                        advanced = direction in good
-                        pending[packet.id] = (
-                            next_node,
-                            direction,
-                            advanced,
-                            len(good) == 1,
-                        )
-                        if advanced:
-                            advancing += 1
-                        total_distance += dist[packet.id]
-                assign_ns += clock() - t_decided
-
-            # Move pass (phase 4), then delivery pass (phase 5), both
-            # in in_flight order — together equivalent to the lean
-            # loop's single interleaved pass.
-            self.time += 1
-            now = self.time
-            t_move = clock()
-            if buffered:
-                pending_get = pending.get
-                for packet in self.in_flight:
-                    entry = pending_get(packet.id)
-                    if entry is None:
-                        continue
-                    next_node, direction, advanced, _ = entry
-                    packet.location = next_node
-                    packet.hops += 1
-                    if advanced:
-                        packet.advances += 1
-                        dist[packet.id] -= 1
-                    else:
-                        packet.deflections += 1
-                        if unit_deflections:
-                            dist[packet.id] += 1
-                        else:
-                            dist[packet.id] = distance(
-                                next_node, packet.destination
-                            )
-                    if record_paths:
-                        packet.path.append(next_node)
-            else:
-                for packet in self.in_flight:
-                    next_node, direction, advanced, restricted = pending[
-                        packet.id
-                    ]
+                if entry is None:
+                    continue
+                next_node, direction, advanced, restricted = entry
+                if not buffered:
                     packet.restricted_last_step = restricted
                     packet.advanced_last_step = advanced
-                    packet.location = next_node
-                    if set_entry:
-                        packet.entry_direction = direction
-                    packet.hops += 1
-                    if advanced:
-                        packet.advances += 1
-                        dist[packet.id] -= 1
+                packet.location = next_node
+                if set_entry:
+                    packet.entry_direction = direction
+                packet.hops += 1
+                if advanced:
+                    # A good hop reduces the distance by exactly one
+                    # (Definition 5), on every mesh kind.
+                    packet.advances += 1
+                    dist[packet.id] -= 1
+                else:
+                    packet.deflections += 1
+                    if unit_deflections:
+                        dist[packet.id] += 1
                     else:
-                        packet.deflections += 1
-                        if unit_deflections:
-                            dist[packet.id] += 1
-                        else:
-                            dist[packet.id] = distance(
-                                next_node, packet.destination
-                            )
-                    if record_paths:
-                        packet.path.append(next_node)
-            t_moved = clock()
+                        # E.g. odd-side torus: a bad hop out of a
+                        # maximal per-axis offset leaves the wrapped
+                        # distance unchanged, so recompute exactly.
+                        dist[packet.id] = distance(
+                            next_node, packet.destination
+                        )
+                if record_paths:
+                    packet.path.append(next_node)
+            t4 = clock() if clock is not None else 0
 
             delivered_count = 0
             remaining: List[Packet] = []
@@ -1135,49 +685,89 @@ class StepKernel:
                 else:
                     remaining.append(packet)
             self.in_flight = remaining
-            self.delivered_total += delivered_count
-            t_delivered = clock()
-            profiler.record_step(
-                t_injected - t_start,
-                rank_ns,
-                assign_ns,
-                t_moved - t_move,
-                t_delivered - t_moved,
+            t5 = clock() if clock is not None else 0
+            if profiler is not None:
+                profiler.record_step(
+                    t1 - t0, rank_ns, assign_ns, t4 - t3, t5 - t4
+                )
+
+            self._note_step(
+                step_index,
+                generated,
+                injected,
+                backlog,
+                routed,
+                len(pending),
+                advancing,
+                delivered_count,
+                total_distance,
+                max_load,
+                bad_nodes,
+                packets_in_bad,
+                dropped,
             )
 
-            if tel is not None:
-                tel.steps += 1
-                tel.packet_steps += routed
-                tel.generated += generated
-                tel.injected += injected
-                tel.delivered += delivered_count
-                tel.advances += advancing
-                tel.deflections += len(pending) - advancing
-                if routed > tel.max_in_flight:
-                    tel.max_in_flight = routed
-                if max_load > tel.max_node_load:
-                    tel.max_node_load = max_load
-                if backlog > tel.max_backlog:
-                    tel.max_backlog = backlog
+    def _note_step(
+        self,
+        step_index: int,
+        generated: int,
+        injected: int,
+        backlog: int,
+        routed: int,
+        moved: int,
+        advancing: int,
+        delivered_count: int,
+        total_distance: int,
+        max_load: int,
+        bad_nodes: int,
+        packets_in_bad: int,
+        dropped: int = 0,
+    ) -> None:
+        """Close one lean step: fold its counts into the delivery total
+        and the telemetry, then emit its :class:`StepSummary`.
 
-            if emit is not None:
-                emit(
-                    StepSummary(
-                        step=step_index,
-                        generated=generated,
-                        injected=injected,
-                        routed=routed,
-                        moved=len(pending),
-                        advancing=advancing,
-                        delivered=delivered_count,
-                        delivered_total=self.delivered_total,
-                        total_distance=total_distance,
-                        max_node_load=max_load,
-                        bad_nodes=bad_nodes,
-                        packets_in_bad_nodes=packets_in_bad,
-                        backlog=backlog,
-                    )
+        Shared by :meth:`run_lean` and both ``SoaKernel`` loops; the
+        arithmetic is :meth:`RunTelemetry.note_summary`'s, applied from
+        plain integers so no summary object is built when nobody
+        listens.
+        """
+        self.delivered_total += delivered_count
+        tel = self.telemetry
+        if tel is not None:
+            tel.steps += 1
+            tel.packet_steps += routed
+            tel.generated += generated
+            tel.injected += injected
+            tel.delivered += delivered_count
+            tel.dropped += dropped
+            tel.advances += advancing
+            tel.deflections += moved - advancing
+            if routed > tel.max_in_flight:
+                tel.max_in_flight = routed
+            if max_load > tel.max_node_load:
+                tel.max_node_load = max_load
+            if backlog > tel.max_backlog:
+                tel.max_backlog = backlog
+        emit = self.emit
+        if emit is not None:
+            emit(
+                StepSummary(
+                    step=step_index,
+                    generated=generated,
+                    injected=injected,
+                    routed=routed,
+                    moved=moved,
+                    advancing=advancing,
+                    delivered=delivered_count,
+                    delivered_total=self.delivered_total,
+                    total_distance=total_distance,
+                    max_node_load=max_load,
+                    bad_nodes=bad_nodes,
+                    packets_in_bad_nodes=packets_in_bad,
+                    backlog=backlog,
+                    dropped=dropped,
                 )
+            )
 
     # ------------------------------------------------------------------
     # The instrumented step (formerly _route/_apply_assignment/_move)
@@ -1236,8 +826,8 @@ class StepKernel:
                 and faults.anything_down
                 and load > mesh_v.node_arcs(node).degree
             ):
-                # Graceful degradation, mirroring _run_lean_guarded:
-                # excess packets (highest ids) wait in place.
+                # Graceful degradation, mirroring run_lean: excess
+                # packets (highest ids) wait in place.
                 live = mesh_v.node_arcs(node).degree
                 good_map = view._good
                 for packet in view.packets[live:]:
@@ -1256,8 +846,8 @@ class StepKernel:
                 and faults is not None
                 and faults.anything_down
             ):
-                # Store-and-forward degradation, mirroring the guarded
-                # lean loop: forwards onto down-but-real arcs wait.
+                # Store-and-forward degradation, mirroring run_lean:
+                # forwards onto down-but-real arcs wait.
                 live_bd = mesh_v.node_arcs(node).by_direction
                 base_bd = mesh.node_arcs(node).by_direction
                 assignment = {

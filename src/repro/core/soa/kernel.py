@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.kernel import PhaseSink, StepKernel, StepSummary
+from repro.core.kernel import PhaseSink, StepKernel
 from repro.core.packet import Packet
 from repro.core.soa import _compat
 from repro.core.soa.adapters import (
@@ -131,10 +131,13 @@ class SoaKernel:
     ) -> None:
         """Run steps until ``kernel.time == until`` (or drained).
 
-        Mirrors :meth:`StepKernel.run_lean` / ``run_profiled``: batch
-        kernels (no injection source) stop early once ``in_flight``
-        drains; injecting kernels run the full horizon.  On return the
-        wrapped kernel's ``in_flight`` and distance table hold the
+        Mirrors :meth:`StepKernel.run_lean`, profiler argument
+        included: batch kernels (no injection source) stop early once
+        ``in_flight`` drains; injecting kernels run the full horizon.
+        Each step closes through the object kernel's
+        :meth:`~StepKernel._note_step`, so delivery totals, telemetry
+        and emitted summaries share one piece of arithmetic.  On return
+        the wrapped kernel's ``in_flight`` and distance table hold the
         surviving packets, bit-identical to the object loop.
         """
         if self.vectorized:
@@ -178,59 +181,6 @@ class SoaKernel:
             packet.id: distance(packet.location, packet.destination)
             for packet in packets
         }
-
-    def _note_step(
-        self,
-        step_index: int,
-        generated: int,
-        injected: int,
-        backlog: int,
-        routed: int,
-        moved: int,
-        advancing: int,
-        delivered_count: int,
-        total_distance: int,
-        max_load: int,
-        bad_nodes: int,
-        packets_in_bad: int,
-    ) -> None:
-        """Telemetry + summary emission, same arithmetic as run_lean."""
-        kernel = self.kernel
-        kernel.delivered_total += delivered_count
-        tel = kernel.telemetry
-        if tel is not None:
-            tel.steps += 1
-            tel.packet_steps += routed
-            tel.generated += generated
-            tel.injected += injected
-            tel.delivered += delivered_count
-            tel.advances += advancing
-            tel.deflections += moved - advancing
-            if routed > tel.max_in_flight:
-                tel.max_in_flight = routed
-            if max_load > tel.max_node_load:
-                tel.max_node_load = max_load
-            if backlog > tel.max_backlog:
-                tel.max_backlog = backlog
-        emit = kernel.emit
-        if emit is not None:
-            emit(
-                StepSummary(
-                    step=step_index,
-                    generated=generated,
-                    injected=injected,
-                    routed=routed,
-                    moved=moved,
-                    advancing=advancing,
-                    delivered=delivered_count,
-                    delivered_total=kernel.delivered_total,
-                    total_distance=total_distance,
-                    max_node_load=max_load,
-                    bad_nodes=bad_nodes,
-                    packets_in_bad_nodes=packets_in_bad,
-                    backlog=backlog,
-                )
-            )
 
     # ------------------------------------------------------------------
     # Columnar pure-Python path
@@ -482,7 +432,7 @@ class SoaKernel:
                     t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4
                 )
 
-            self._note_step(
+            kernel._note_step(
                 step_index,
                 generated,
                 injected,
@@ -806,7 +756,7 @@ class SoaKernel:
                 # move, so phase totals still sum to the step time.
                 profiler.record_step(t1 - t0, t4 - t1, 0, 0, t5 - t4)
 
-            self._note_step(
+            kernel._note_step(
                 step_index,
                 generated,
                 injected,

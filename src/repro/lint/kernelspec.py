@@ -1,13 +1,12 @@
 """The declared kernel-twin phase contract.
 
 The engine's load-bearing invariant is that every step-loop twin —
-``StepKernel.run_lean``, its guarded and profiled variants, the
-instrumented reference step, and both ``SoaKernel`` loops — executes
-the same phases in the same order.  The dynamic proof is the golden
-fixtures plus the hypothesis differentials; this module is the *static*
-declaration the KER3xx rules check each twin against, so a reordered or
-dropped phase fails lint seconds after the edit instead of minutes into
-a differential run.
+``StepKernel.run_lean``, the instrumented reference step, and both
+``SoaKernel`` loops — executes the same phases in the same order.  The
+dynamic proof is the golden fixtures plus the hypothesis differentials;
+this module is the *static* declaration the KER3xx rules check each
+twin against, so a reordered or dropped phase fails lint seconds after
+the edit instead of minutes into a differential run.
 
 Kept free of rule classes on purpose: the DET203 RNG-reachability pass
 needs :data:`VECTORIZED_ENTRYPOINTS` too, and importing it must not
@@ -39,9 +38,9 @@ PHASE_ORDER: Tuple[str, ...] = (
     "deliver",
 )
 
-#: Phases a twin may legitimately lack: only the guarded and
-#: instrumented loops apply fault plans; the lean/profiled/soa paths
-#: reject fault plans up front and carry no faults phase.
+#: Phases a twin may legitimately lack: ``run_lean`` and the
+#: instrumented step apply fault plans; the soa loops reject fault
+#: plans up front and carry no faults phase.
 OPTIONAL_PHASES: FrozenSet[str] = frozenset({"faults"})
 
 
@@ -65,8 +64,6 @@ class TwinSpec:
 #: Every loop twin bound by the phase contract.
 KERNEL_TWINS: Tuple[TwinSpec, ...] = (
     TwinSpec("core.kernel", "StepKernel.run_lean"),
-    TwinSpec("core.kernel", "StepKernel._run_lean_guarded"),
-    TwinSpec("core.kernel", "StepKernel.run_profiled"),
     TwinSpec("core.kernel", "StepKernel.step_instrumented"),
     TwinSpec("core.soa.kernel", "SoaKernel._run_columnar"),
     TwinSpec("core.soa.kernel", "SoaKernel._run_vectorized"),

@@ -19,9 +19,9 @@ The layers, in increasing cost:
   deflection-causality tracing (inject → advance/deflect(by=q) →
   deliver); needs the instrumented loop.
 * :class:`~repro.obs.profiler.PhaseProfiler` — opt-in wall-clock
-  timing of the kernel pipeline phases via
-  :meth:`~repro.core.kernel.StepKernel.run_profiled`; identical
-  routing semantics, just timestamped.
+  timing of the kernel pipeline phases, read by the loop that actually
+  runs (:meth:`~repro.core.kernel.StepKernel.run_lean` or the soa
+  loops); identical routing semantics, just timestamped.
 * :class:`~repro.obs.manifest.RunManifest` /
   :class:`~repro.obs.manifest.JsonlRunLogger` — structured JSONL
   self-descriptions of whole runs (config, seed, git sha, telemetry,

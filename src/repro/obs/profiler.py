@@ -4,14 +4,17 @@
 :class:`~repro.core.kernel.PhaseSink` protocol: it supplies the clock
 (:func:`repro.obs.clock.perf_ns` — the kernel itself owns no clock,
 keeping DET106 happy) and accumulates nanoseconds per pipeline phase
-(*inject → rank → arc-assign → move → deliver*) as
-:meth:`~repro.core.kernel.StepKernel.run_profiled` reports each step.
-Timing is additive bookkeeping only: the profiled loop executes the
-exact lean-loop semantics, so results stay bit-identical.
+(*inject → rank → arc-assign → move → deliver*) as the kernel's run
+loop (:meth:`~repro.core.kernel.StepKernel.run_lean`, or a soa loop)
+reports each step.  There is no separate profiled loop: the loop that
+runs reads the clock, and timing is additive bookkeeping only, so
+results stay bit-identical with or without a profiler.
 
 Phase meanings:
 
-* ``inject`` — injection-source admission (zero work for batch runs).
+* ``inject`` — fault application (mask advance and packet drops, on
+  faulted runs) plus injection-source admission (zero work for
+  fault-free batch runs).
 * ``rank`` — grouping packets by node plus the per-node policy
   decision (``assign``/``forward``), the part the paper's priority
   schemes make interesting.
@@ -45,7 +48,7 @@ class PhaseProfiler:
     deliver_ns: int = 0
 
     def clock(self) -> int:
-        """The timestamp source the profiled kernel loop reads."""
+        """The timestamp source the kernel's run loop reads."""
         return perf_ns()
 
     def record_step(

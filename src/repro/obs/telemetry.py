@@ -2,8 +2,8 @@
 
 :class:`RunTelemetry` is the observability layer's answer to "what did
 this run do?" at near-zero cost: a slotted dataclass of plain integer
-counters that :meth:`~repro.core.kernel.StepKernel.run_lean` (and its
-profiled twin) bumps inline from values it already has in registers —
+counters that :meth:`~repro.core.kernel.StepKernel.run_lean` bumps
+once per step from values it already has in local variables —
 no per-step objects, no RNG reads, no change to routing decisions.
 The instrumented step updates the same counters from each
 :class:`~repro.core.kernel.StepSummary`, so the lean and instrumented
@@ -64,7 +64,8 @@ class RunTelemetry:
         """Accumulate one step from its :class:`StepSummary`.
 
         Used by the instrumented step; the lean loops apply the same
-        arithmetic inline from local variables.
+        arithmetic from local variables through
+        ``StepKernel._note_step``.
         """
         self.steps += 1
         self.packet_steps += summary.routed

@@ -15,7 +15,7 @@ opposite of the metric/series recorders — tracing answers *why did
 this packet wander*, not *how fast are we going* — and attaching it
 must not change the routing outcome: the obs differential tests pin
 traced runs bit-identical to untraced ones, including under fault
-schedules on the guarded loop.
+schedules.
 
 Deflector attribution: for a deflected packet p routed at node v, the
 candidates are the packets assigned one of p's good directions out of

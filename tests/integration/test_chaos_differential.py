@@ -13,6 +13,7 @@ from repro.algorithms import DimensionOrderPolicy, RandomRankPolicy
 from repro.core.buffered_engine import BufferedEngine
 from repro.core.engine import HotPotatoEngine
 from repro.core.events import RunObserver
+from repro.core.validation import validators_for
 from repro.faults import FaultSchedule, random_schedule
 from repro.mesh.topology import Mesh
 from repro.workloads import random_many_to_many, random_permutation
@@ -56,12 +57,17 @@ class TestHotPotatoChaos:
     @given(instance=_chaos_instances())
     def test_lean_equals_instrumented_under_faults(self, instance):
         problem, schedule, seed = instance
+        # Capacity-only validators: the policy's default stack would
+        # put this side on the instrumented step too.
+        policy = RandomRankPolicy()
         lean = HotPotatoEngine(
             problem,
-            RandomRankPolicy(),
+            policy,
             seed=seed,
+            validators=validators_for(policy, strict=False),
             faults=schedule,
             max_steps=600,
+            fast_path=True,
         ).run()
         instrumented = HotPotatoEngine(
             problem,

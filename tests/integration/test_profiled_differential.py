@@ -1,11 +1,12 @@
-"""Profiled-loop differential tests.
+"""Profiled-run differential tests.
 
-:meth:`StepKernel.run_profiled` re-implements the lean loop with
-timestamps around each phase, so it must be *observably identical* to
-:meth:`run_lean`: same :class:`RunResult` (telemetry included), same
-RNG consumption, same delivery order.  These tests pin that contract
-for all four engines, and check that the profiler actually measured
-something while telemetry stayed bit-identical.
+There is one object step loop, :meth:`StepKernel.run_lean`; given a
+profiler it reads a clock around each phase and must otherwise be
+*observably identical* to the same run without one: same
+:class:`RunResult` (telemetry included), same RNG consumption, same
+delivery order.  These tests pin that contract for all four engines,
+on pristine, faulted and watchdog-guarded runs, and check that the
+profiler measured every phase while telemetry stayed bit-identical.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +16,7 @@ from repro.algorithms import (
     DimensionOrderPolicy,
     PlainGreedyPolicy,
     RandomizedGreedyPolicy,
+    RandomRankPolicy,
     RestrictedPriorityPolicy,
 )
 from repro.core.buffered_engine import BufferedEngine
@@ -25,10 +27,12 @@ from repro.dynamic import (
     BufferedDynamicEngine,
     DynamicEngine,
 )
+from repro.faults import RunWatchdog, random_schedule
 from repro.mesh.topology import Mesh
 from repro.mesh.torus import Torus
 from repro.obs.profiler import PhaseProfiler
 from repro.workloads import random_many_to_many, random_permutation
+from tests.integration.test_chaos_differential import _chaos_instances
 
 _SETTINGS = settings(
     max_examples=15,
@@ -164,6 +168,176 @@ class TestBufferedDynamicProfiled:
         )
         assert profiled.telemetry == lean.telemetry
         assert profiled.max_queue_seen == lean.max_queue_seen
+
+
+def _dropped_ids(engine):
+    faults = engine._kernel.faults
+    return list(faults.dropped_ids) if faults is not None else None
+
+
+class TestFaultedProfiled:
+    """Faulted and watchdog-guarded runs go through the same loop, so
+    profiling them must change nothing: results, telemetry (``dropped``
+    included), the abort verdict and the dropped-packet census."""
+
+    @_SETTINGS
+    @given(instance=_chaos_instances())
+    def test_hot_potato_under_faults(self, instance):
+        problem, schedule, seed = instance
+
+        def engine(profiler=None):
+            policy = RandomRankPolicy()
+            return HotPotatoEngine(
+                problem,
+                policy,
+                seed=seed,
+                validators=validators_for(policy, strict=False),
+                faults=schedule,
+                max_steps=600,
+                profiler=profiler,
+            )
+
+        lean, profiler = engine(), PhaseProfiler()
+        profiled = engine(profiler)
+        lean_result, profiled_result = lean.run(), profiled.run()
+        assert profiled_result == lean_result
+        assert profiled_result.telemetry == lean_result.telemetry
+        assert profiled_result.abort == lean_result.abort
+        assert _dropped_ids(profiled) == _dropped_ids(lean)
+        assert profiler.steps == profiled_result.telemetry.steps
+
+    @_SETTINGS
+    @given(instance=_chaos_instances())
+    def test_buffered_under_faults(self, instance):
+        problem, schedule, seed = instance
+
+        def engine(profiler=None):
+            return BufferedEngine(
+                problem,
+                DimensionOrderPolicy(),
+                seed=seed,
+                faults=schedule,
+                max_steps=600,
+                profiler=profiler,
+            )
+
+        lean, profiler = engine(), PhaseProfiler()
+        profiled = engine(profiler)
+        lean_result, profiled_result = lean.run(), profiled.run()
+        assert profiled_result == lean_result
+        assert profiled_result.telemetry == lean_result.telemetry
+        assert profiled_result.abort == lean_result.abort
+        assert _dropped_ids(profiled) == _dropped_ids(lean)
+        assert profiler.steps == profiled_result.telemetry.steps
+
+    @_SETTINGS
+    @given(
+        instance=_batch_problems(),
+        policy_cls=st.sampled_from(POLICIES),
+        limit=st.integers(min_value=1, max_value=6),
+    )
+    def test_watchdog_without_faults(self, instance, policy_cls, limit):
+        # A tight no-progress limit makes some runs abort mid-flight.
+        problem, seed = instance
+
+        def engine(profiler=None):
+            policy = policy_cls()
+            return HotPotatoEngine(
+                problem,
+                policy,
+                seed=seed,
+                validators=validators_for(policy, strict=False),
+                watchdog=RunWatchdog(no_progress_limit=limit),
+                profiler=profiler,
+            )
+
+        profiler = PhaseProfiler()
+        lean_result = engine().run()
+        profiled_result = engine(profiler).run()
+        assert profiled_result == lean_result
+        assert profiled_result.abort == lean_result.abort
+        assert profiler.steps == profiled_result.telemetry.steps
+
+    @_SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        fault_seed=st.integers(min_value=0, max_value=2**16),
+        rate=st.floats(min_value=0.05, max_value=0.3),
+        steps=st.integers(min_value=1, max_value=50),
+        buffered=st.booleans(),
+    )
+    def test_dynamic_under_faults(
+        self, seed, fault_seed, rate, steps, buffered
+    ):
+        mesh = Mesh(2, 4)
+        schedule = random_schedule(
+            mesh,
+            seed=fault_seed,
+            link_faults=2,
+            node_faults=1,
+            packet_drops=2,
+            horizon=32,
+            max_window=16,
+        )
+
+        def engine(profiler=None):
+            if buffered:
+                return BufferedDynamicEngine(
+                    mesh,
+                    DimensionOrderPolicy(),
+                    BernoulliTraffic(rate),
+                    seed=seed,
+                    faults=schedule,
+                    profiler=profiler,
+                )
+            return DynamicEngine(
+                mesh,
+                RandomRankPolicy(),
+                BernoulliTraffic(rate),
+                seed=seed,
+                faults=schedule,
+                profiler=profiler,
+            )
+
+        lean, profiler = engine(), PhaseProfiler()
+        profiled = engine(profiler)
+        lean_stats, profiled_stats = lean.run(steps), profiled.run(steps)
+        assert _stats_tuple(profiled_stats) == _stats_tuple(lean_stats)
+        assert profiled.telemetry == lean.telemetry
+        assert profiled_stats.abort == lean_stats.abort
+        assert _dropped_ids(profiled) == _dropped_ids(lean)
+        assert profiler.steps == profiled.telemetry.steps
+
+
+class TestEveryPhaseIsTimed:
+    """A merge that silently folded one phase into another (deliver
+    into move, say) would leave that phase at zero."""
+
+    def test_object_batch_run(self):
+        problem = random_many_to_many(Mesh(2, 8), k=64, seed=3)
+        policy = RestrictedPriorityPolicy()
+        profiler = PhaseProfiler()
+        HotPotatoEngine(
+            problem,
+            policy,
+            seed=3,
+            validators=validators_for(policy, strict=False),
+            profiler=profiler,
+        ).run()
+        totals = profiler.totals()
+        assert all(ns > 0 for ns in totals.values()), totals
+
+    def test_dynamic_run(self):
+        profiler = PhaseProfiler()
+        DynamicEngine(
+            Mesh(2, 6),
+            RestrictedPriorityPolicy(),
+            BernoulliTraffic(0.2),
+            seed=3,
+            profiler=profiler,
+        ).run(50)
+        totals = profiler.totals()
+        assert all(ns > 0 for ns in totals.values()), totals
 
 
 class TestProfilerRefusals:

@@ -2,9 +2,10 @@
 
 This module's dotted name ends in ``core.kernel``, so the phase
 contract declared in ``repro.lint.kernelspec`` binds its ``StepKernel``
-twins exactly as it binds the real one.  Two twins breach the contract
-— one reorders rank behind arc assignment, one drops delivery — and
-two obey it (one of them only because its breach is suppressed).
+twins exactly as it binds the real one.  Both declared twins breach
+the contract: ``run_lean`` reorders rank behind arc assignment, and
+``step_instrumented`` drops delivery on top of the same reordering,
+whose report is suppressed.
 """
 
 pending = {}
@@ -21,20 +22,7 @@ class StepKernel:
     def _apply_faults(self, now):
         return now
 
-    def _move_instrumented(self, infos):
-        return infos
-
     def run_lean(self, steps, packet):
-        # Clean twin: the full contract in declared order.
-        for now in range(steps):
-            self._admit(now)
-            assignment = decide(now)
-            pending[now] = assignment
-            packet.hops += 1
-            packet.delivered_at = now
-        return packet
-
-    def _run_lean_guarded(self, steps, packet):
         # KER301 fire: rank runs after arc assignment — the stored
         # direction cannot have come from this step's decision.
         for now in range(steps):
@@ -46,20 +34,13 @@ class StepKernel:
             packet.delivered_at = now
         return assignment
 
-    def run_profiled(self, steps, packet):
-        # KER302 fire: no delivery bookkeeping in this twin.
-        for now in range(steps):
-            self._admit(now)
-            assignment = decide(now)
-            pending[now] = assignment
-            packet.hops += 1
-        return packet
-
     def step_instrumented(self, now, packet):
-        # Same reordering as the guarded twin, but suppressed — the
-        # KER301 pair's silent half.
+        # KER302 fire: no delivery bookkeeping in this twin.  It also
+        # repeats run_lean's reordering, but suppressed — the KER301
+        # pair's silent half.
         self._apply_faults(now)
         self._admit(now)
         pending[now] = packet
         assignment = decide(now)  # repro: noqa[KER301]
-        return self._move_instrumented(assignment)
+        packet.hops += 1
+        return assignment

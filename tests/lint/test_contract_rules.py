@@ -19,6 +19,7 @@ REAL_KERNEL = os.path.join(REPO_ROOT, "src", "repro", "core", "kernel.py")
 REAL_SOA_KERNEL = os.path.join(
     REPO_ROOT, "src", "repro", "core", "soa", "kernel.py"
 )
+FIXTURE_ROOT = os.path.join(HERE, "fixtures")
 
 
 def _function(source, name):
@@ -102,6 +103,22 @@ class TestRealKernels:
             select=["KER301", "KER302", "KER303"],
         )
         assert report.findings == []
+
+
+class TestFixtureVectors:
+    def test_each_rule_fires_on_a_declared_twin(self):
+        # The fixture tree the CI "fixtures must fail" leg lints: every
+        # KER3xx rule must fire there, each on a twin the contract
+        # still declares, and the suppressed KER301 reorder in
+        # step_instrumented must stay silent.
+        report = lint_paths(
+            [FIXTURE_ROOT], select=["KER301", "KER302", "KER303"]
+        )
+        assert len(report.findings) == 3
+        by_rule = {f.rule_id: f.message for f in report.findings}
+        assert "StepKernel.run_lean" in by_rule["KER301"]
+        assert "StepKernel.step_instrumented" in by_rule["KER302"]
+        assert "SoaKernel._run_columnar" in by_rule["KER303"]
 
 
 def _real_kernel_copy(mutate=None):
@@ -240,7 +257,8 @@ class TestSyntheticTwins:
         report = lint_paths([root], select=["KER303"])
         fired = {f.rule_id for f in report.findings}
         assert fired == {"KER303"}
-        # One finding per missing declared twin, each anchored on the
-        # owning class statement (line 1).
-        assert len(report.findings) == 4
+        # One finding per missing declared twin (run_lean and
+        # step_instrumented), each anchored on the owning class
+        # statement (line 1).
+        assert len(report.findings) == 2
         assert {f.line for f in report.findings} == {1}
