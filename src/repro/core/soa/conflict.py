@@ -17,20 +17,53 @@ pipeline is preserved bit-for-bit:
   shuffles through the caller-supplied policy RNG so the sanctioned
   stream advances exactly as in the object kernel.
 
-This is the array kernel's inner loop for contended nodes, so the
-matching routines are written allocation-light: direction state lives
-in small lists indexed by direction (at most ``2 * dimension`` slots)
-and int bitmasks, and the ubiquitous uncontended case — a row whose
-lowest good direction is still free — short-circuits past the
-augmentation machinery entirely.
+Two callers run this pipeline.  The columnar pure-Python loop calls
+:func:`resolve_node` at every node it visits, in the object kernel's
+visit order, because RNG-consuming policies make that order part of
+the seeded contract.  The vectorized numpy loop calls
+:func:`resolve_segments` once per step for all contended nodes.  In
+the paper's model (Section 2) a node decides from local information
+only, so on an RNG-free policy a contended node's decision is a pure
+function of its *signature*: load, out-mask, and its rows' good masks
+(plus entry directions under ``reverse``) in priority order.
+:func:`resolve_segments` gives every signature a dense id, resolves
+each distinct signature once per run through :func:`resolve_node`
+(the memo-miss path) and gathers the directions back onto rows.
+
+The matching routines are thus the inner loop of the columnar path
+and of the memo-miss path, so they are written allocation-light:
+direction state lives in small lists indexed by direction (at most
+``2 * dimension`` slots) and int bitmasks, and the ubiquitous
+uncontended case — a row whose lowest good direction is still free —
+short-circuits past the augmentation machinery entirely.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["bits_of", "kuhn_match", "first_fit_match", "resolve_node"]
+__all__ = [
+    "bits_of",
+    "kuhn_match",
+    "first_fit_match",
+    "resolve_node",
+    "resolve_segments",
+    "SignatureMemo",
+]
+
+#: Signature -> per-position directions, or ``()`` when the node
+#: cannot place every row (the caller's completeness check fails).
+SignatureMemo = Dict[Tuple[int, ...], Tuple[int, ...]]
+
+#: Entries a memo may hold before :func:`resolve_segments` empties it.
+#: A 2-D run meets a few thousand distinct signatures; on
+#: high-dimension meshes they rarely repeat and would otherwise pile up.
+_MEMO_LIMIT = 1 << 15
+
+#: Largest ``size * span`` a fold may reach: keeps ``key * span +
+#: offset`` inside int64 whatever the mask width.
+_FOLD_LIMIT = 2**62
 
 
 def bits_of(mask: int) -> List[int]:
@@ -189,3 +222,130 @@ def resolve_node(
     for row, direction in zip(unmatched, free):
         assignment[row] = direction
     return assignment
+
+
+def _dense_ids(np: Any, columns: Sequence[Any]) -> Tuple[Any, Any]:
+    """Dense ids of the rows of a column table.
+
+    Folds one column at a time into a running key and re-ranks it with
+    :func:`numpy.unique`, so the key stays below the row count and the
+    fold ``key * span + offset`` never overflows: equal rows get equal
+    ids and different rows different ids at any mask width.  A column
+    whose value span alone would overflow the fold is ranked first.
+
+    Returns ``(first, ids)``: ``ids[i]`` is row ``i``'s id and
+    ``first[u]`` the first row with id ``u``.
+    """
+    size = columns[0].shape[0]
+    key = np.zeros(size, dtype=np.int64)
+    last = len(columns) - 1
+    for position, column in enumerate(columns):
+        low = int(column.min())
+        span = int(column.max()) - low + 1
+        if span > _FOLD_LIMIT // size:
+            _, column = np.unique(column, return_inverse=True)
+            low = 0
+            span = int(column.max()) + 1
+        key = key * span + (column - low)
+        if position < last:
+            # Only the last re-rank needs first rows, which costs a
+            # stable sort; the others use numpy's faster default.
+            _, key = np.unique(key, return_inverse=True)
+    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    return first, ids
+
+
+def _resolve_signature(
+    signature: Tuple[int, ...], first_fit: bool, deflection: str
+) -> Tuple[int, ...]:
+    """:func:`resolve_node` on a signature's positions as rows:
+    directions by position, or ``()`` if a row is left unplaced."""
+    load, out_mask = signature[0], signature[1]
+    if deflection == "reverse":
+        good = signature[2::2]
+        entry: Sequence[int] = signature[3::2]
+    else:
+        good = signature[2:]
+        entry = (-1,) * load
+    rows = range(load)
+    assignment = resolve_node(
+        rows, rows, good, entry, out_mask, first_fit, deflection, rng=None
+    )
+    if len(assignment) != load:
+        return ()
+    return tuple(map(assignment.__getitem__, rows))
+
+
+def resolve_segments(
+    np: Any,
+    order: Any,
+    starts: Any,
+    counts: Any,
+    out_masks: Any,
+    good: Any,
+    entry: Any,
+    first_fit: bool,
+    deflection: str,
+    memo: SignatureMemo,
+) -> Tuple[Any, Any, int]:
+    """Directions for the rows of many nodes, one resolution per
+    distinct signature.
+
+    Segment ``s`` is a node whose rows, in priority order, are
+    ``order[starts[s] : starts[s] + counts[s]]``; ``out_masks[s]`` is
+    its out-mask.  Equivalent to calling :func:`resolve_node` on each
+    segment, passing the segment as both of its row orders and no RNG,
+    so ``deflection`` must not be ``"random"``.
+
+    Each segment's signature is its load, out-mask, and per position
+    the row's good mask, followed by its entry direction when
+    ``deflection == "reverse"`` (the only rule that reads it).
+    Signatures get dense ids (:func:`_dense_ids`); each id is looked up
+    in ``memo`` by its exact tuple and resolved on a miss, then the
+    directions are gathered back onto the rows.  A memo holding more
+    than ``_MEMO_LIMIT`` entries is emptied first.
+
+    Returns ``(rows, directions, failed)``: every segment row with its
+    direction, and the index of the first segment whose rows cannot
+    all be placed (``-1`` if none).  On failure ``rows`` and
+    ``directions`` are empty.
+    """
+    reverse = deflection == "reverse"
+    width = int(counts.max())
+    slots = np.arange(width)
+    filled = slots < counts[:, None]
+    # Slots past a segment's load read a clipped row and are masked.
+    index = np.minimum(starts[:, None] + slots, order.shape[0] - 1)
+    rows = order[index]
+    good_at = np.where(filled, good[rows], -1)
+    columns = [counts, out_masks]
+    if reverse:
+        entry_at = np.where(filled, entry[rows], -1)
+        for slot in range(width):
+            columns.append(good_at[:, slot])
+            columns.append(entry_at[:, slot])
+    else:
+        columns.extend(good_at[:, slot] for slot in range(width))
+    first, ids = _dense_ids(np, columns)
+
+    per_slot = 2 if reverse else 1
+    pad = (0,) * width
+    table: List[Tuple[int, ...]] = []
+    placed: List[bool] = []
+    if len(memo) > _MEMO_LIMIT:
+        memo.clear()
+    for values in zip(*[column[first].tolist() for column in columns]):
+        load = values[0]
+        signature = values[: 2 + per_slot * load]
+        resolved = memo.get(signature)
+        if resolved is None:
+            resolved = memo[signature] = _resolve_signature(
+                signature, first_fit, deflection
+            )
+        placed.append(bool(resolved))
+        table.append(resolved + pad[len(resolved) :])
+    if not all(placed):
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, int(np.argmin(np.asarray(placed)[ids]))
+    directions = np.asarray(table, dtype=np.int64)[ids]
+    return rows[filled], directions[filled], -1

@@ -12,8 +12,9 @@ state held in flat columns (:class:`PacketColumns`) instead of
   and distances for every packet arrive from ``d`` gathers into the
   mesh's per-axis packed tables
   (:meth:`~repro.mesh.topology.Mesh.arc_tables`), single-packet nodes
-  are resolved wholesale, and only genuinely contended nodes fall back
-  to the integer matching pipeline of :mod:`.conflict`.
+  are resolved wholesale, and contended nodes run the integer matching
+  pipeline of :mod:`.conflict` — per node on the columnar path, once
+  per distinct node signature on the vectorized path.
 
 Two execution paths share the loop structure:
 
@@ -53,7 +54,11 @@ from repro.core.soa.adapters import (
     PolicyAdapter,
 )
 from repro.core.soa.columns import PacketColumns
-from repro.core.soa.conflict import resolve_node
+from repro.core.soa.conflict import (
+    SignatureMemo,
+    resolve_node,
+    resolve_segments,
+)
 from repro.exceptions import ArcAssignmentError
 from repro.mesh.tables import ArcTables
 from repro.types import Node
@@ -76,6 +81,7 @@ def _table_views(tables: ArcTables, np: Any) -> Dict[str, Any]:
                 for table in tables.packed
             ],
             "nbr": np.asarray(tables.neighbor_flat, dtype=np.int64),
+            "out_mask": np.asarray(tables.out_mask, dtype=np.int64),
         }
         tables.backend_views = views
     return views
@@ -460,6 +466,8 @@ class SoaKernel:
 
         Only legal for RNG-free policies, where per-node decisions are
         pure functions of each node's rows (visit order immaterial).
+        That purity also lets contended nodes be resolved by signature
+        (:func:`~.conflict.resolve_segments`), memoised for this call.
         """
         np = _compat.np
         assert np is not None
@@ -470,11 +478,11 @@ class SoaKernel:
         coords_v: List[Any] = views["coords"]
         packed_v: List[Any] = views["packed"]
         nbr_v: Any = views["nbr"]
+        out_mask_v: Any = views["out_mask"]
         dimension = tables.dimension
         side1 = tables.side + 1
         shift = tables.shift
         mask_all = tables.good_mask_all
-        out_mask_t = tables.out_mask
         index_node = tables.index_node
         two_d = tables.num_directions
         buffered = kernel.buffered
@@ -511,6 +519,8 @@ class SoaKernel:
                 [rank_of(packet_id) for packet_id in columns.ids],
                 dtype=np.float64,
             )
+        # Contended-node decisions by signature, for this call only.
+        memo: SignatureMemo = {}
 
         while kernel.time < until:
             if stop_when_empty and pos.shape[0] == 0:
@@ -619,6 +629,8 @@ class SoaKernel:
                     np, pos, dest, dcs, gm, hops, adv, defl,
                     coords_v, nbr_v, dimension, two_d, step_index,
                 )
+                # One fused call: the whole step is booked under rank.
+                t2 = t3 = clock() if clock is not None else 0
             else:
                 # Node load stats + priority order from one stable sort.
                 if code_kind == CODE_RESTRICTED:
@@ -649,6 +661,8 @@ class SoaKernel:
                     counts = np.empty(0, dtype=np.int64)
                     max_load = bad_nodes = packets_in_bad = 0
 
+                t2 = clock() if clock is not None else 0
+
                 dirs = np.empty(m, dtype=np.int64)
                 singles = counts == 1
                 srows = order[starts[singles]]
@@ -657,45 +671,31 @@ class SoaKernel:
                     dirs[srows] = np.log2(
                         low.astype(np.float64)
                     ).astype(np.int64)
-                multi = np.flatnonzero(~singles)
-                if multi.size:
-                    order_l = order.tolist()
-                    gm_l = gm.tolist()
-                    entry_l = entry.tolist()
-                    starts_l = starts[multi].tolist()
-                    counts_l = counts[multi].tolist()
-                    nodes_l = spos[starts[multi]].tolist()
-                    assigned_rows: List[int] = []
-                    assigned_dirs: List[int] = []
-                    for seg_start, seg_count, node_idx in zip(
-                        starts_l, counts_l, nodes_l
-                    ):
-                        segment = order_l[
-                            seg_start : seg_start + seg_count
-                        ]
-                        assignment = resolve_node(
-                            segment,
-                            segment,
-                            gm_l,
-                            entry_l,
-                            out_mask_t[node_idx],
-                            first_fit,
-                            deflection,
-                            None,
+                multi = ~singles
+                if multi.any():
+                    multi_starts = starts[multi]
+                    nodes = spos[multi_starts]
+                    rows, resolved, failed = resolve_segments(
+                        np,
+                        order,
+                        multi_starts,
+                        counts[multi],
+                        out_mask_v[nodes],
+                        gm,
+                        entry,
+                        first_fit,
+                        deflection,
+                        memo,
+                    )
+                    if failed >= 0:
+                        raise ArcAssignmentError(
+                            f"step {step_index}: inconsistent "
+                            f"assignment at "
+                            f"{index_node[int(nodes[failed])]} "
+                            f"(soa kernel check)"
                         )
-                        if len(assignment) != seg_count:
-                            raise ArcAssignmentError(
-                                f"step {step_index}: inconsistent "
-                                f"assignment at "
-                                f"{index_node[node_idx]} "
-                                f"(soa kernel check)"
-                            )
-                        for row, direction in assignment.items():
-                            assigned_rows.append(row)
-                            assigned_dirs.append(direction)
-                    dirs[
-                        np.asarray(assigned_rows, dtype=np.int64)
-                    ] = np.asarray(assigned_dirs, dtype=np.int64)
+                    dirs[rows] = resolved
+                t3 = clock() if clock is not None else 0
 
                 adv_now = ((gm >> dirs) & 1).astype(bool)
                 advancing = int(adv_now.sum())
@@ -750,11 +750,12 @@ class SoaKernel:
                     rank_col = rank_col[keep]
             t5 = clock() if clock is not None else 0
             if profiler is not None:
-                # rank (sort + stats) and arc_assign (direction
-                # resolution) are fused in the array step; attribute
-                # the fused span to rank and the move/flag updates to
-                # move, so phase totals still sum to the step time.
-                profiler.record_step(t1 - t0, t4 - t1, 0, 0, t5 - t4)
+                # rank: good masks, sort and load stats; arc_assign:
+                # lone-packet and contended-node directions; move: the
+                # column update.
+                profiler.record_step(
+                    t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4
+                )
 
             kernel._note_step(
                 step_index,

@@ -13,11 +13,12 @@ checks the two against each other:
 Extraction is by *marker*, not by naming convention: a phase's marker
 is the syntactic shape the twins actually share (``self._admit(...)``
 for injection, a ``decide(...)`` call or stable sort for ranking,
-``pending[...] = ...`` / ``resolve_node(...)`` for arc assignment, a
-``hops`` increment for movement, a ``delivered_at`` store for
-delivery).  The *last* occurrence of each marker is what's ordered —
-loops interleave bookkeeping, and the final occurrence is the one that
-commits the phase.
+``pending[...] = ...``, ``resolve_node(...)`` or
+``resolve_segments(...)`` for arc assignment, a ``hops`` increment for
+movement, a ``delivered_at`` store for delivery).  The *last*
+occurrence of each marker is what's ordered — loops interleave
+bookkeeping, and the final occurrence is the one that commits the
+phase.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ CONTRACT_RULES = ("KER301", "KER302", "KER303")
 _INJECT_CALLS = frozenset({"_admit", "_admit_batch", "admit_batch"})
 _FAULT_CALLS = frozenset({"_apply_faults"})
 _RANK_SORTS = frozenset({"sort", "argsort", "lexsort"})
-_ARC_CALLS = frozenset({"resolve_node", "build_infos"})
+_ARC_CALLS = frozenset({"resolve_node", "resolve_segments", "build_infos"})
 #: Serves movement *and* delivery: the instrumented step delegates
 #: both to one helper, which is a legal tie in the ordering check.
 _MOVE_DELIVER_CALLS = frozenset({"_move_instrumented"})

@@ -3,8 +3,9 @@
 The differential suites prove whole runs bit-identical; these unit
 tests pin the seams of the structure-of-arrays backend in isolation —
 :class:`~repro.core.soa.columns.PacketColumns` pack/writeback against
-mid-run object state, the numpy/pure-Python path auto-selection, and
-the ValueErrors for every configuration ``backend="soa"`` refuses.
+mid-run object state, the numpy/pure-Python path auto-selection, the
+vectorized path's completeness check, and the ValueErrors for every
+configuration ``backend="soa"`` refuses.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.core.soa import SoaKernel, _compat, adapter_for
 from repro.core.soa.columns import PacketColumns
 from repro.core.validation import validators_for
 from repro.dynamic import BernoulliTraffic, DynamicEngine
+from repro.exceptions import ArcAssignmentError
 from repro.faults import FaultSchedule, PacketDrop, RunWatchdog
 from repro.mesh.tables import arc_tables_for
 from repro.mesh.topology import Mesh
@@ -162,6 +164,38 @@ class TestPathSelection:
             assert soa.run() == expected
         finally:
             _compat.np = saved
+
+
+class TestCompletenessCheck:
+    """A node holding more packets than it has arcs cannot place them
+    all.  The vectorized path resolves every contended node at once
+    and must still name the first such node in node order."""
+
+    def test_overloaded_nodes_are_named_in_node_order(self):
+        pytest.importorskip("numpy")
+        engine = _engine()
+        engine._start()
+        kernel = engine._kernel
+        # Three packets on each of two corners (out-degree 2), put
+        # there in reverse node order.
+        corners = [(5, 5)] * 3 + [(1, 1)] * 3
+        movable = [
+            packet
+            for packet in kernel.in_flight
+            if packet.destination not in corners
+        ]
+        for packet, corner in zip(movable, corners):
+            packet.location = corner
+        adapter = adapter_for(
+            RestrictedPriorityPolicy(), buffered=False, has_injection=False
+        )
+        soa = SoaKernel(kernel, adapter)
+        assert soa.vectorized
+        with pytest.raises(
+            ArcAssignmentError,
+            match=r"step 0: inconsistent assignment at \(1, 1\)",
+        ):
+            soa.run(1)
 
 
 class TestRejectedConfigurations:

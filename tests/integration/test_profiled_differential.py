@@ -327,6 +327,33 @@ class TestEveryPhaseIsTimed:
         totals = profiler.totals()
         assert all(ns > 0 for ns in totals.values()), totals
 
+    def test_soa_vectorized_batch_run(self):
+        # The array step books sort and load stats under rank,
+        # direction resolution under arc_assign and the column update
+        # under move; none may be folded into a neighbour.
+        problem = random_many_to_many(Mesh(2, 8), k=160, seed=3)
+
+        def engine(profiler=None):
+            policy = RestrictedPriorityPolicy()
+            return HotPotatoEngine(
+                problem,
+                policy,
+                seed=3,
+                validators=validators_for(policy, strict=False),
+                backend="soa",
+                profiler=profiler,
+            )
+
+        profiler = PhaseProfiler()
+        plain = engine()
+        assert plain._soa_adapter.vectorizable
+        plain_result = plain.run()
+        assert plain_result == engine(profiler).run()
+        assert plain_result.telemetry.max_node_load > 1
+        totals = profiler.totals()
+        for phase in ("rank", "arc_assign", "move", "deliver"):
+            assert totals[phase] > 0, totals
+
     def test_dynamic_run(self):
         profiler = PhaseProfiler()
         DynamicEngine(

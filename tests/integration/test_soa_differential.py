@@ -11,10 +11,13 @@ stream (pinned indirectly through RNG-consuming policies).
 
 These hypothesis suites are the proof harness; the golden fixtures
 (``tests/integration/test_golden_engines.py``) pin the same property
-against the pre-kernel legacy captures.
+against the pre-kernel legacy captures.  The high-dimension suite
+covers what 2-D instances cannot: masks of up to 16 directions and
+nodes holding up to 8 packets, where the vectorized path's
+contended-node signatures are widest.
 """
 
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import (
@@ -31,7 +34,10 @@ from repro.core.soa import _compat
 from repro.core.validation import validators_for
 from repro.dynamic import BernoulliTraffic, BufferedDynamicEngine, DynamicEngine
 from repro.faults import FaultSchedule
+from repro.mesh.hypercube import Hypercube
 from repro.mesh.topology import Mesh
+from repro.workloads import random_many_to_many
+from repro.workloads.random_uniform import max_packets
 
 from .test_engine_differential import (
     _SETTINGS,
@@ -55,6 +61,24 @@ HOT_POTATO_POLICIES = (
     lambda: MaximalGreedyPolicy(),
     lambda: MaximalGreedyPolicy(deflection="random"),
     lambda: RandomRankPolicy(),
+)
+
+#: The RNG-free policies, which the soa backend runs on its vectorized
+#: path.
+VECTORIZED_POLICIES = (
+    lambda: RestrictedPriorityPolicy(),
+    lambda: RestrictedPriorityPolicy(prefer_type_a=False),
+    lambda: RestrictedPriorityPolicy(deflection="reverse"),
+    lambda: PlainGreedyPolicy(),
+    lambda: MaximalGreedyPolicy(),
+    lambda: MaximalGreedyPolicy(deflection="reverse"),
+)
+
+#: Topologies beyond two dimensions; ``Hypercube(8)`` is last.
+HIGH_DIMENSION_MESHES = (
+    *(lambda side=side: Mesh(3, side) for side in (3, 4, 5)),
+    lambda: Mesh(4, 3),
+    *(lambda d=d: Hypercube(d) for d in range(3, 9)),
 )
 
 
@@ -154,6 +178,57 @@ class TestHotPotatoSoaDifferential:
             assert expected == soa.run()
         finally:
             _compat.np = saved
+        assert obj.telemetry == soa.telemetry
+
+
+class TestHighDimensionSoaDifferential:
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        mesh_index=st.integers(
+            min_value=0, max_value=len(HIGH_DIMENSION_MESHES) - 1
+        ),
+        policy_index=st.integers(
+            min_value=0, max_value=len(VECTORIZED_POLICIES) - 1
+        ),
+        load_percent=st.integers(min_value=1, max_value=100),
+        problem_seed=st.integers(min_value=0, max_value=2**16),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    # Fully loaded Hypercube(8): eight packets at a node, 16-direction
+    # masks, under both deflection rules that the vectorized path
+    # resolves by signature.
+    @example(
+        mesh_index=len(HIGH_DIMENSION_MESHES) - 1,
+        policy_index=0,
+        load_percent=100,
+        problem_seed=0,
+        seed=0,
+    )
+    @example(
+        mesh_index=len(HIGH_DIMENSION_MESHES) - 1,
+        policy_index=2,
+        load_percent=100,
+        problem_seed=0,
+        seed=0,
+    )
+    def test_soa_equals_object(
+        self, mesh_index, policy_index, load_percent, problem_seed, seed
+    ):
+        mesh = HIGH_DIMENSION_MESHES[mesh_index]()
+        k = max(1, max_packets(mesh) * load_percent // 100)
+        problem = random_many_to_many(mesh, k=k, seed=problem_seed)
+        make = VECTORIZED_POLICIES[policy_index]
+        obj = _hot_potato(problem, make(), seed, "object")
+        soa = _hot_potato(problem, make(), seed, "soa")
+        assert soa._soa_adapter.vectorizable
+        obj_result = obj.run()
+        soa_result = soa.run()
+        assert obj_result == soa_result
+        assert obj_result.outcomes == soa_result.outcomes
         assert obj.telemetry == soa.telemetry
 
 
