@@ -19,11 +19,21 @@ is that export:
   ``(distance << 2d) | good_mask``, so summing ``d`` gathers yields
   both at once.  This packing is valid because on every mesh family in
   the library (box mesh, torus, hypercube) goodness and distance
-  factor per axis; the tables are built by *probing* the mesh's own
-  :meth:`~repro.mesh.topology.Mesh.good_directions_tuple` and
-  :meth:`~repro.mesh.topology.Mesh.distance` on nodes that differ in a
-  single coordinate, so subclass overrides (torus wraparound) are
-  honored by construction.
+  factor per axis.
+
+Every table is built from one *probe* per direction and coordinate:
+:meth:`~repro.mesh.topology.Mesh.neighbor` is called on the first node
+with its own-axis coordinate set to each of ``1 .. n``, ``2d * n``
+calls in all, so subclass overrides (torus wraparound) are honored by
+construction.  The probe relies on the same product structure as the
+packing: a step changes only its own axis coordinate, and where it
+lands depends only on that coordinate.  Neighbor indices then follow
+by index arithmetic; an axis distance is the shortest path over the
+probed steps along that axis, and a direction is good exactly when its
+step exists and lands strictly closer (Definition 5).  The probe never
+calls :meth:`~repro.mesh.topology.Mesh.distance` or
+:meth:`~repro.mesh.topology.Mesh.good_directions_tuple`, so it leaves
+the mesh's memo caches empty.
 
 This module is deliberately numpy-free: the mesh layer has no optional
 dependencies.  Array backends convert the plain lists to their own
@@ -39,7 +49,16 @@ per run still hits warm tables.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.mesh.directions import Direction
 from repro.types import Node
@@ -55,9 +74,22 @@ __all__ = [
 ]
 
 
+_T = TypeVar("_T")
+
+
 def direction_index(direction: Direction) -> int:
     """The canonical integer index of a direction (``opposite == k ^ 1``)."""
     return 2 * direction.axis + (0 if direction.sign > 0 else 1)
+
+
+def _spread(per_coordinate: Iterable[_T], stride: int, length: int) -> List[_T]:
+    """A node-index column of one axis: entry ``i`` is the value for
+    coordinate ``(i // stride) % side + 1``, ``per_coordinate`` listing
+    the values for coordinates ``1 .. side``."""
+    block: List[_T] = []
+    for value in per_coordinate:
+        block += [value] * stride
+    return block * (length // len(block))
 
 
 class ArcTables:
@@ -102,54 +134,109 @@ class ArcTables:
             node: index for index, node in enumerate(nodes)
         }
 
-        neighbor_flat: List[int] = []
-        out_mask: List[int] = []
-        degrees: List[int] = []
-        for node in nodes:
-            mask = 0
-            for k, direction in enumerate(self.directions):
-                other = mesh.neighbor(node, direction)
-                if other is None:
-                    neighbor_flat.append(-1)
-                else:
-                    neighbor_flat.append(self.node_index[other])
-                    mask |= 1 << k
-            out_mask.append(mask)
-            degrees.append(mask.bit_count())
-        self.neighbor_flat = neighbor_flat
-        self.out_mask = out_mask
-        self.degrees = degrees
-
-        self.coords: List[List[int]] = [
-            [node[axis] for node in nodes] for axis in range(dimension)
-        ]
-
-        # Probe the mesh itself along one axis at a time, so torus
-        # wraparound (or any per-axis-factoring override) lands in the
-        # tables by construction rather than by reimplementation.
+        # Probe the mesh itself along one axis line per direction, so
+        # torus wraparound (or any per-axis-factoring override) lands in
+        # the tables by construction rather than by reimplementation.
+        # steps[k][c] is the own-axis coordinate reached by stepping in
+        # direction k from coordinate c, or None when the arc leaves
+        # the mesh (index 0 is unused: coordinates are 1-based).
         base = nodes[0]
+        steps: List[List[Optional[int]]] = []
+        for direction in self.directions:
+            axis = direction.axis
+            lead, trail = base[:axis], base[axis + 1 :]
+            reached: List[Optional[int]] = [None] * (side + 1)
+            for c in range(1, side + 1):
+                other = mesh.neighbor(lead + (c,) + trail, direction)
+                if other is not None:
+                    if other[:axis] != lead or other[axis + 1 :] != trail:
+                        raise ValueError(
+                            f"{type(mesh).__name__}.neighbor moves a "
+                            f"{direction} step off axis {axis}; arc "
+                            "tables need per-axis steps"
+                        )
+                    reached[c] = other[axis]
+            steps.append(reached)
+
+        # Nodes are numbered lexicographically, so axis a has stride
+        # side ** (d - 1 - a) and a step from coordinate c to r moves
+        # the node index by (r - c) * stride.
+        num_nodes = self.num_nodes
+        two_d = self.num_directions
+        strides = [side ** (dimension - 1 - axis) for axis in range(dimension)]
+        self.coords: List[List[int]] = [
+            _spread(range(1, side + 1), stride, num_nodes)
+            for stride in strides
+        ]
+        neighbor_flat = [-1] * (num_nodes * two_d)
+        axis_bits = [[0] * side for _ in range(dimension)]
+        for k, direction in enumerate(self.directions):
+            axis = direction.axis
+            stride = strides[axis]
+            offsets: List[Optional[int]] = []
+            for c in range(1, side + 1):
+                r = steps[k][c]
+                if r is None:
+                    offsets.append(None)
+                else:
+                    offsets.append((r - c) * stride)
+                    axis_bits[axis][c - 1] |= 1 << k
+            neighbor_flat[k::two_d] = [
+                -1 if offset is None else index + offset
+                for index, offset in enumerate(
+                    _spread(offsets, stride, num_nodes)
+                )
+            ]
+        self.neighbor_flat = neighbor_flat
+        mask_columns = [
+            _spread(bits, stride, num_nodes)
+            for bits, stride in zip(axis_bits, strides)
+        ]
+        # Axes own disjoint direction bits, so summing is or-ing.
+        self.out_mask = [sum(masks) for masks in zip(*mask_columns)]
+        self.degrees = [mask.bit_count() for mask in self.out_mask]
+
         shift = self.shift
+        side1 = side + 1
         packed: List[List[int]] = []
         for axis in range(dimension):
-            table = [0] * ((side + 1) * (side + 1))
-            for here in range(1, side + 1):
-                probe = tuple(
-                    here if i == axis else base[i] for i in range(dimension)
-                )
-                row = here * (side + 1)
-                for there in range(1, side + 1):
-                    target = tuple(
-                        there if i == axis else base[i]
-                        for i in range(dimension)
-                    )
+            axis_steps = [
+                (1 << k, steps[k])
+                for k, direction in enumerate(self.directions)
+                if direction.axis == axis
+            ]
+            # hops[a][b]: shortest path from a to b over the probed
+            # steps, one breadth-first search per start coordinate.
+            hops = [[-1] * side1 for _ in range(side1)]
+            for here in range(1, side1):
+                row = hops[here]
+                row[here] = 0
+                frontier = [here]
+                while frontier:
+                    following = []
+                    for c in frontier:
+                        for _, reached in axis_steps:
+                            r = reached[c]
+                            if r is not None and row[r] < 0:
+                                row[r] = row[c] + 1
+                                following.append(r)
+                    frontier = following
+            table = [0] * (side1 * side1)
+            for here in range(1, side1):
+                row = hops[here]
+                moves = [
+                    (bit, hops[r])
+                    for bit, reached in axis_steps
+                    if (r := reached[here]) is not None
+                ]
+                offset = here * side1
+                for there in range(1, side1):
+                    distance = row[there]
                     mask = 0
-                    for direction in mesh.good_directions_tuple(
-                        probe, target
-                    ):
-                        mask |= 1 << direction_index(direction)
-                    table[row + there] = (
-                        mesh.distance(probe, target) << shift
-                    ) | mask
+                    for bit, after in moves:
+                        if after[there] < distance:
+                            mask |= bit
+                    table[offset + there] = (distance << shift) | mask
             packed.append(table)
         self.packed = packed
 

@@ -214,12 +214,13 @@ class Mesh:
         return arcs
 
     def build_arc_tables(self) -> None:
-        """Eagerly build the arc table of every node.
+        """Eagerly build the :class:`NodeArcs` of every node.
 
-        :meth:`node_arcs` fills the cache lazily, which is right for
-        sparse workloads; long sweeps that will touch the whole mesh
-        anyway can call this once to move the cost out of the first
-        simulation steps.
+        This fills the object layer's per-node cache only, not the
+        array kernels' :meth:`arc_tables`.  :meth:`node_arcs` fills
+        the cache lazily, which is right for sparse workloads; long
+        sweeps that will touch the whole mesh anyway can call this
+        once to move the cost out of the first simulation steps.
         """
         for node in self.nodes():
             self.node_arcs(node)

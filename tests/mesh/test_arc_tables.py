@@ -7,7 +7,9 @@ methods it replaces: node numbering against :meth:`Mesh.nodes`,
 arcs on the box mesh and wraparound on the torus), and the per-axis
 packed tables against :meth:`Mesh.distance` and
 :meth:`Mesh.good_directions_tuple` for arbitrary node/destination
-pairs.
+pairs.  A brute-force reference (a node-by-node probe of those same
+methods) pins every attribute exactly, and a call-counting mesh pins
+that the tables come from one per-axis probe.
 """
 
 import itertools
@@ -22,15 +24,143 @@ from repro.mesh.topology import Mesh
 from repro.mesh.torus import Torus
 
 # Odd and even torus sides behave differently at the wrap seam, so
-# both appear; Mesh(3, 3) exercises the packing beyond two axes.
+# both appear; Mesh(3, 3) exercises the packing beyond two axes, the
+# 1-D shapes a single axis, and the 4-D+ shapes long strides.
 MESHES = [
+    Mesh(1, 7),
     Mesh(2, 5),
     Mesh(3, 3),
+    Mesh(4, 3),
+    Mesh(5, 3),
+    Torus(1, 5),
     Torus(2, 4),
     Torus(2, 5),
+    Hypercube(1),
     Hypercube(3),
+    Hypercube(6),
 ]
-IDS = [f"{type(m).__name__}-{m.dimension}d-{m.side}" for m in MESHES]
+
+
+def _ids(meshes):
+    return [f"{type(m).__name__}-{m.dimension}d-{m.side}" for m in meshes]
+
+
+IDS = _ids(MESHES)
+
+# Every family at d = 1 and beyond, both torus parities.
+REFERENCE_MESHES = [
+    Mesh(1, 7),
+    Mesh(2, 5),
+    Mesh(3, 4),
+    Mesh(4, 3),
+    Mesh(5, 3),
+    Torus(1, 5),
+    Torus(2, 4),
+    Torus(2, 7),
+    Torus(3, 4),
+    Torus(3, 5),
+    Hypercube(1),
+    Hypercube(6),
+]
+REFERENCE_IDS = _ids(REFERENCE_MESHES)
+
+ATTRIBUTES = [
+    "dimension",
+    "side",
+    "num_nodes",
+    "num_directions",
+    "shift",
+    "good_mask_all",
+    "directions",
+    "index_node",
+    "node_index",
+    "neighbor_flat",
+    "out_mask",
+    "degrees",
+    "coords",
+    "packed",
+    "backend_views",
+]
+
+
+def _reference_tables(mesh):
+    """Every table attribute, probed node by node through the mesh's
+    own methods: ``neighbor`` for every node and direction, ``distance``
+    and ``good_directions_tuple`` for every pair of nodes that differ
+    in one coordinate."""
+    dimension, side = mesh.dimension, mesh.side
+    shift = 2 * dimension
+    directions = mesh.directions
+    nodes = list(mesh.nodes())
+    node_index = {node: index for index, node in enumerate(nodes)}
+    neighbor_flat, out_mask, degrees = [], [], []
+    for node in nodes:
+        mask = 0
+        for k, direction in enumerate(directions):
+            other = mesh.neighbor(node, direction)
+            if other is None:
+                neighbor_flat.append(-1)
+            else:
+                neighbor_flat.append(node_index[other])
+                mask |= 1 << k
+        out_mask.append(mask)
+        degrees.append(mask.bit_count())
+    base = nodes[0]
+    packed = []
+    for axis in range(dimension):
+        table = [0] * ((side + 1) ** 2)
+        for here in range(1, side + 1):
+            probe = base[:axis] + (here,) + base[axis + 1 :]
+            for there in range(1, side + 1):
+                target = base[:axis] + (there,) + base[axis + 1 :]
+                mask = 0
+                for direction in mesh.good_directions_tuple(probe, target):
+                    mask |= 1 << direction_index(direction)
+                table[here * (side + 1) + there] = (
+                    mesh.distance(probe, target) << shift
+                ) | mask
+        packed.append(table)
+    return {
+        "dimension": dimension,
+        "side": side,
+        "num_nodes": len(nodes),
+        "num_directions": 2 * dimension,
+        "shift": shift,
+        "good_mask_all": (1 << shift) - 1,
+        "directions": directions,
+        "index_node": nodes,
+        "node_index": node_index,
+        "neighbor_flat": neighbor_flat,
+        "out_mask": out_mask,
+        "degrees": degrees,
+        "coords": [[node[axis] for node in nodes] for axis in range(dimension)],
+        "packed": packed,
+        "backend_views": None,
+    }
+
+
+def _fresh(mesh):
+    """A new mesh of the same shape, with empty memo caches."""
+    if isinstance(mesh, Hypercube):
+        return Hypercube(mesh.dimension)
+    return type(mesh)(mesh.dimension, mesh.side)
+
+
+class _CountingMesh:
+    """Counts a mesh's ``neighbor``, ``distance`` and
+    ``good_directions_tuple`` calls by shadowing them on the instance."""
+
+    def __init__(self, mesh):
+        self.calls = {"neighbor": 0, "distance": 0, "good_directions_tuple": 0}
+        for name in self.calls:
+            setattr(mesh, name, self._counted(name, getattr(mesh, name)))
+
+    def _counted(self, name, method):
+        def wrapper(*args):
+            self.calls[name] += 1
+            return method(*args)
+
+        return wrapper
 
 
 def _pairs(mesh, count=60, seed=7):
@@ -42,6 +172,40 @@ def _pairs(mesh, count=60, seed=7):
     return [
         (rng.choice(nodes), rng.choice(nodes)) for _ in range(count)
     ]
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("mesh", REFERENCE_MESHES, ids=REFERENCE_IDS)
+    def test_every_attribute_equals_the_reference(self, mesh):
+        tables = ArcTables(mesh)
+        reference = _reference_tables(_fresh(mesh))
+        assert sorted(vars(tables)) == sorted(ATTRIBUTES)
+        for name in ATTRIBUTES:
+            assert getattr(tables, name) == reference[name], name
+
+
+class TestPerAxisProbe:
+    @pytest.mark.parametrize("mesh", REFERENCE_MESHES, ids=REFERENCE_IDS)
+    def test_probes_one_axis_line_and_leaves_memos_empty(self, mesh):
+        probed = _fresh(mesh)
+        counter = _CountingMesh(probed)
+        ArcTables(probed)
+        assert counter.calls["neighbor"] <= 2 * mesh.dimension * mesh.side
+        assert counter.calls["distance"] == 0
+        assert counter.calls["good_directions_tuple"] == 0
+        assert probed._good_cache == {}
+        assert probed._arc_cache == {}
+
+    def test_off_axis_step_is_rejected(self):
+        class Skewed(Mesh):
+            def neighbor(self, node, direction):
+                moved = super().neighbor(node, direction)
+                if moved is None or direction.axis != 0:
+                    return moved
+                return (moved[0], 1 + moved[1] % self.side)
+
+        with pytest.raises(ValueError, match="per-axis steps"):
+            ArcTables(Skewed(2, 4))
 
 
 class TestDirectionIndex:
